@@ -5,13 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <limits>
-
 #include "bench_util.h"
 #include "common/random.h"
 #include "vector/multi_distance.h"
 #include "vector/simd/simd.h"
-#include "vector/sketch.h"
 #include "vector/vector_store.h"
 
 namespace mqa {
@@ -111,44 +108,6 @@ void BM_WeightedMultiExactBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_WeightedMultiExactBatch);
-
-// Bounded scan with the popcount prefilter in front of the incremental
-// scan, in the regime the prefilter targets: the query is a near-duplicate
-// of a stored object, so the running top-1 bound tightens immediately and
-// most candidates die on a 4-word XOR+popcount instead of a float kernel.
-// (With a loose bound the sketch floors never reject and the prefilter is
-// pure overhead — that regime is measured by the /0 leg's pruning path.)
-void BM_SketchPrefilterScan(benchmark::State& state) {
-  const bool prefilter = state.range(0) != 0;
-  const uint32_t n = 4096;
-  VectorSchema schema;
-  schema.dims = {32, 32, 32, 32};
-  auto wd = WeightedMultiDistance::Create(schema, {1.0f, 1.0f, 1.0f, 1.0f});
-  VectorStore store(schema);
-  Rng rng(7);
-  for (uint32_t i = 0; i < n; ++i) {
-    (void)store.Add(RandomVector(schema.TotalDim(), &rng));
-  }
-  MultiVectorDistanceComputer dist(&store, *wd, /*enable_pruning=*/true);
-  BitSketchIndex sketches(schema);
-  if (prefilter) {
-    sketches.Rebuild(store);
-    dist.SetSketches(&sketches);
-  }
-  Vector q = store.Row(0);
-  for (auto& x : q) x += static_cast<float>(rng.Gaussian()) * 1e-3f;
-  for (auto _ : state) {
-    dist.BeginQuery(q.data());
-    float best = std::numeric_limits<float>::max();
-    for (uint32_t i = 0; i < n; ++i) {
-      const float d = dist.DistanceWithBound(q.data(), i, best);
-      if (d < best) best = d;
-    }
-    benchmark::DoNotOptimize(best);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_SketchPrefilterScan)->Arg(0)->Arg(1);
 
 void BM_FlatStoreScan(benchmark::State& state) {
   const uint32_t n = 10000;

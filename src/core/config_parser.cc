@@ -87,11 +87,6 @@ Result<MqaConfig> ParseMqaConfig(const std::vector<std::string>& lines) {
       config.index.hnsw.ef_construction = static_cast<uint32_t>(v);
     } else if (key == "index.alpha") {
       MQA_ASSIGN_OR_RETURN(config.index.graph.alpha, ParseFloat(key, value));
-    } else if (key == "index.sketch_prefilter") {
-      MQA_ASSIGN_OR_RETURN(config.index.sketch_prefilter,
-                           ParseBool(key, value));
-    } else if (key == "index.sketch_scale") {
-      MQA_ASSIGN_OR_RETURN(config.index.sketch_scale, ParseFloat(key, value));
     } else if (key == "simd.level") {
       config.simd_level = value;
     } else if (key == "framework") {

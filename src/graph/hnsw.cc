@@ -46,7 +46,6 @@ void HnswIndex::Insert(uint32_t id) {
   }
 
   const float* q = store_->data(id);
-  dist_->BeginQuery(q);
   uint32_t cur = entry_point_;
   float cur_dist = dist_->Distance(q, cur);
 
@@ -192,7 +191,6 @@ Result<std::vector<Neighbor>> HnswIndex::Search(const float* query,
   if (params.k == 0) return Status::InvalidArgument("k must be > 0");
   if (levels_.empty()) return Status::FailedPrecondition("empty index");
 
-  dist_->BeginQuery(query);
   uint32_t cur = entry_point_;
   float cur_dist = dist_->Distance(query, cur);
   if (stats != nullptr) ++stats->dist_comps;

@@ -21,14 +21,6 @@ struct IndexConfig {
   GraphBuildConfig graph;  ///< parameters of the flat pipeline algorithms
   HnswConfig hnsw;         ///< parameters when algorithm == "hnsw"
   DiskIndexConfig disk;    ///< parameters when algorithm == "starling"
-
-  /// Bit-sketch popcount prefilter in front of the weighted multi-vector
-  /// distance (in-memory indexes only; see vector/sketch.h). At the
-  /// default scale of 1.0 it rejects exactly what the incremental-scanning
-  /// bound would reject, so recall is provably unchanged; scale > 1 trades
-  /// recall for more rejects.
-  bool sketch_prefilter = true;
-  float sketch_scale = 1.0f;
 };
 
 /// Builds any supported index. The distance computer is consumed; `store`

@@ -21,7 +21,6 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
   const uint32_t n = graph.num_nodes();
   if (n == 0 || entries.empty()) return {};
   beam_width = std::max(beam_width, k);
-  dist->BeginQuery(query);
 
   std::vector<bool> visited(n, false);
 
@@ -183,7 +182,6 @@ Result<std::vector<Neighbor>> BruteForceIndex::Search(
   const uint32_t n = dist_->size();
   if (n == 0) return Status::FailedPrecondition("empty index");
   TopK topk(params.k);
-  dist_->BeginQuery(query);
   if (!params.filter && !dist_->PrunesWithBound()) {
     // Exact linear scan: no per-candidate branch can skip work, so chunked
     // batches let the computer overlap each row's fetch with the previous

@@ -68,14 +68,6 @@ Result<std::unique_ptr<MustFramework>> MustFramework::Create(
   // with the temporary in-memory graph; the disk index owns its own copy.
   fw->disk_ = dynamic_cast<DiskGraphIndex*>(fw->index_.get());
   if (fw->disk_ == nullptr) fw->dist_ = dist_raw;
-  // Sketches attach after the build so the graph construction itself is
-  // unchanged; searches get the prefilter from the first query on.
-  if (fw->dist_ != nullptr && index_config.sketch_prefilter) {
-    fw->sketch_scale_ = index_config.sketch_scale;
-    fw->sketches_ = std::make_unique<BitSketchIndex>(fw->corpus_->schema());
-    fw->sketches_->Rebuild(*fw->corpus_);
-    fw->dist_->SetSketches(fw->sketches_.get(), fw->sketch_scale_);
-  }
   return fw;
 }
 
@@ -103,9 +95,6 @@ Result<std::unique_ptr<MustFramework>> MustFramework::CreateFromSavedIndex(
   fw->pruning_ = enable_pruning;
   fw->index_ = std::move(index);
   fw->dist_ = dist_raw;
-  fw->sketches_ = std::make_unique<BitSketchIndex>(fw->corpus_->schema());
-  fw->sketches_->Rebuild(*fw->corpus_);
-  fw->dist_->SetSketches(fw->sketches_.get(), fw->sketch_scale_);
   return fw;
 }
 
@@ -126,13 +115,6 @@ Status MustFramework::IngestAppended(const GraphBuildConfig& config) {
     linked = hnsw->InsertAppended();
   } else if (dynamic_cast<BruteForceIndex*>(index_.get()) != nullptr) {
     linked = Status::OK();  // scans the store; nothing to update
-  }
-  if (linked.ok() && sketches_ != nullptr) {
-    // Catch the sketches up to the store (ids beyond sketches_->size()
-    // were simply unfiltered until now).
-    for (uint32_t id = sketches_->size(); id < corpus_->size(); ++id) {
-      sketches_->Append(corpus_->data(id));
-    }
   }
   return linked;
 }
@@ -233,12 +215,6 @@ Status MustFramework::CompactTombstones(const std::vector<uint32_t>& remap,
                                         std::move(dist), std::move(entries));
   dist_ = dist_raw;
   disk_ = nullptr;
-  if (sketches_ != nullptr) {
-    // The corpus rows moved under compaction; re-sketch them all and
-    // attach to the replacement computer.
-    sketches_->Rebuild(*corpus_);
-    dist_->SetSketches(sketches_.get(), sketch_scale_);
-  }
   ClearTombstones();
   return Status::OK();
 }

@@ -90,11 +90,6 @@ class MustFramework : public RetrievalFramework {
   // owned by index_ (or are index_ itself).
   MultiVectorDistanceComputer* dist_ = nullptr;
   DiskGraphIndex* disk_ = nullptr;
-  // Popcount prefilter sketches over the corpus rows (in-memory indexes
-  // only; nullptr when disabled or disk-resident). Appended on ingestion,
-  // rebuilt on compaction; attached to dist_ via SetSketches.
-  std::unique_ptr<BitSketchIndex> sketches_;
-  float sketch_scale_ = 1.0f;
 };
 
 }  // namespace mqa

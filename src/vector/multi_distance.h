@@ -22,8 +22,9 @@ struct DistanceStats {
   std::atomic<uint64_t> full_computations{0};    ///< computed to completion
   std::atomic<uint64_t> pruned_computations{0};  ///< abandoned early
   std::atomic<uint64_t> dims_scanned{0};  ///< float components visited
-  /// Subset of pruned_computations rejected by the bit-sketch prefilter
-  /// before any float was touched (see vector/sketch.h).
+  /// Always 0: nothing increments it since the bit-sketch prefilter was
+  /// removed. Kept because the perfbench report still reads it for
+  /// `vector.sketch_reject_frac`, a metric its BENCHMARK.json declares.
   std::atomic<uint64_t> sketch_rejects{0};
 
   DistanceStats() = default;

@@ -1,9 +1,7 @@
 #include "vector/vector_store.h"
 
-#include <cmath>
 #include <cstring>
 #include <istream>
-#include <limits>
 #include <ostream>
 
 namespace mqa {
@@ -22,19 +20,6 @@ bool ReadPod(std::istream& in, T* v) {
   in.read(reinterpret_cast<char*>(v), sizeof(T));
   return static_cast<bool>(in);
 }
-
-/// Per-thread prefilter state: which computer/query the cached QuerySketch
-/// belongs to. Keyed by both so (a) concurrent searches sharing one
-/// computer each see only their own query's sketch, and (b) a computer
-/// whose BeginQuery was never called on this thread finds a mismatch and
-/// simply skips the prefilter.
-struct ThreadQuerySketch {
-  const void* owner = nullptr;
-  const float* query = nullptr;
-  QuerySketch sketch;
-};
-
-thread_local ThreadQuerySketch t_query_sketch;
 
 }  // namespace
 
@@ -95,33 +80,6 @@ Result<VectorStore> VectorStore::Load(std::istream& in) {
   }
   store.count_ = n;
   return store;
-}
-
-void MultiVectorDistanceComputer::BeginQuery(const float* q) {
-  if (sketches_ == nullptr || q == nullptr) return;
-  t_query_sketch.owner = this;
-  t_query_sketch.query = q;
-  t_query_sketch.sketch.Prepare(*sketches_, q, dist_.weights());
-}
-
-float MultiVectorDistanceComputer::DistanceWithBound(const float* q,
-                                                     uint32_t id,
-                                                     float bound) {
-  if (sketches_ != nullptr && t_query_sketch.owner == this &&
-      t_query_sketch.query == q && id < sketches_->size()) {
-    const float lb = t_query_sketch.sketch.LowerBound(sketches_->words(id));
-    if (lb * sketch_scale_ > bound) {
-      ++stats_.pruned_computations;
-      ++stats_.sketch_rejects;
-      // The contract requires a value > bound; lb itself qualifies at the
-      // provable scale of 1 but may not when scale > 1.
-      return lb > bound
-                 ? lb
-                 : std::nextafter(bound, std::numeric_limits<float>::max());
-    }
-  }
-  if (!pruning_) return Distance(q, id);
-  return dist_.Pruned(q, store_->data(id), bound, &stats_);
 }
 
 }  // namespace mqa

@@ -10,7 +10,6 @@
 #include "common/result.h"
 #include "vector/multi_distance.h"
 #include "vector/simd/simd.h"
-#include "vector/sketch.h"
 #include "vector/vector_types.h"
 
 namespace mqa {
@@ -83,14 +82,6 @@ class DistanceComputer {
  public:
   virtual ~DistanceComputer() = default;
 
-  /// Announces that subsequent Distance* calls on *this thread* use query
-  /// `q`, letting the implementation precompute per-query state (the
-  /// bit-sketch prefilter). Optional: every Distance* call is correct
-  /// without it, just without the prefilter fast path. Thread-local in
-  /// effect, so concurrent searches sharing one computer never observe each
-  /// other's query state.
-  virtual void BeginQuery(const float* q) { (void)q; }
-
   /// Exact distance from query `q` (flattened, row_dim floats) to row `id`.
   virtual float Distance(const float* q, uint32_t id) = 0;
 
@@ -115,8 +106,8 @@ class DistanceComputer {
   /// Hints that row `id` will be scored soon.
   virtual void Prefetch(uint32_t id) { (void)id; }
 
-  /// True when DistanceWithBound can actually return early (pruning or
-  /// prefiltering); callers may pick exact batch paths when false.
+  /// True when DistanceWithBound can actually return early (pruning);
+  /// callers may pick exact batch paths when false.
   virtual bool PrunesWithBound() const { return false; }
 
   /// Exact distance between two stored rows (used at build time).
@@ -155,21 +146,11 @@ class FlatDistanceComputer : public DistanceComputer {
 
 /// Weighted multi-vector distance with incremental-scanning pruning — the
 /// MUST path. Accumulates DistanceStats for the pruning ablation.
-///
-/// When a BitSketchIndex is attached (SetSketches), DistanceWithBound first
-/// compares popcount sketches: an object whose proven lower bound already
-/// exceeds the bound is rejected without touching a single float. At the
-/// default sketch_scale of 1 this rejects only objects the pruning bound
-/// would reject anyway, so recall is provably unchanged (see
-/// vector/sketch.h). The prefilter engages only after BeginQuery(q) was
-/// called on the current thread with the same query pointer.
 class MultiVectorDistanceComputer : public DistanceComputer {
  public:
   MultiVectorDistanceComputer(const VectorStore* store,
                               WeightedMultiDistance dist, bool enable_pruning)
       : store_(store), dist_(std::move(dist)), pruning_(enable_pruning) {}
-
-  void BeginQuery(const float* q) override;
 
   float Distance(const float* q, uint32_t id) override {
     float d = dist_.Exact(q, store_->data(id));
@@ -178,7 +159,10 @@ class MultiVectorDistanceComputer : public DistanceComputer {
     return d;
   }
 
-  float DistanceWithBound(const float* q, uint32_t id, float bound) override;
+  float DistanceWithBound(const float* q, uint32_t id, float bound) override {
+    if (!pruning_) return Distance(q, id);
+    return dist_.Pruned(q, store_->data(id), bound, &stats_);
+  }
 
   float DistanceBetween(uint32_t a, uint32_t b) override {
     return dist_.Exact(store_->data(a), store_->data(b));
@@ -190,22 +174,10 @@ class MultiVectorDistanceComputer : public DistanceComputer {
     for (size_t b = 0; b < bytes; b += kSimdAlignment) PrefetchRead(row + b);
   }
 
-  bool PrunesWithBound() const override {
-    return pruning_ || sketches_ != nullptr;
-  }
+  bool PrunesWithBound() const override { return pruning_; }
 
   size_t dim() const override { return store_->row_dim(); }
   uint32_t size() const override { return store_->size(); }
-
-  /// Attaches (or detaches, with nullptr) the prefilter sketches. Not
-  /// owned; must outlive this computer or be detached first. `scale`
-  /// multiplies the proven lower bound before the reject comparison: 1 is
-  /// provably recall-neutral, > 1 trades recall for more rejects.
-  void SetSketches(const BitSketchIndex* sketches, float scale = 1.0f) {
-    sketches_ = sketches;
-    sketch_scale_ = scale > 0.0f ? scale : 1.0f;
-  }
-  const BitSketchIndex* sketches() const { return sketches_; }
 
   const DistanceStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
@@ -218,8 +190,6 @@ class MultiVectorDistanceComputer : public DistanceComputer {
   const VectorStore* store_;
   WeightedMultiDistance dist_;
   bool pruning_;
-  const BitSketchIndex* sketches_ = nullptr;
-  float sketch_scale_ = 1.0f;
   DistanceStats stats_;
 };
 

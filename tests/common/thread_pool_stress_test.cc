@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/sync.h"
+
 namespace mqa {
 namespace {
 
@@ -108,7 +110,7 @@ TEST(ThreadPoolStressTest, ShutdownDrainsWhileSubmitterRaces) {
   {
     ThreadPool pool(2);
     for (int i = 0; i < kTasks; ++i) {
-      pool.Submit([&done] { ++done; });
+      pool.Post([&done] { ++done; });
     }
   }  // ~ThreadPool drains the queue before joining
   EXPECT_EQ(done.load(), kTasks);
@@ -118,23 +120,22 @@ TEST(ThreadPoolStressTest, SubmitFromWorkerTask) {
   // A task may enqueue follow-up work without blocking on it.
   ThreadPool pool(2);
   std::atomic<int> counter{0};
+  Mutex mu;
+  std::vector<std::future<void>> inner;  // guarded by mu
   std::vector<std::future<void>> outer;
   outer.reserve(16);
   for (int i = 0; i < 16; ++i) {
-    outer.push_back(pool.Submit([&pool, &counter] {
+    outer.push_back(pool.Submit([&pool, &counter, &mu, &inner] {
       ++counter;
-      pool.Submit([&counter] { ++counter; });
+      std::future<void> f = pool.Submit([&counter] { ++counter; });
+      MutexLock lock(&mu);
+      inner.push_back(std::move(f));
     }));
   }
   for (auto& f : outer) f.get();
-  // Inner tasks are drained at destruction; counter reaches 32 after the
-  // pool dies. Wait for them via a flushing barrier task instead.
-  pool.ParallelFor(1, [](size_t) {});
-  // All inner submissions happened-before the futures resolved; give the
-  // queue one more drain cycle.
-  while (counter.load() < 32) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // Each outer task stored its inner future before its own future
+  // resolved, so every inner task can now be awaited directly.
+  for (auto& f : inner) f.get();
   EXPECT_EQ(counter.load(), 32);
 }
 

@@ -8,15 +8,26 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 #include <unistd.h>
 
 #include "core/config_parser.h"
 #include "core_test_util.h"
+#include "retrieval/must.h"
 
 namespace mqa {
 namespace {
 
 using ::mqa::testing::SmallConfig;
+
+/// Distance work done between two MustFramework::distance_stats()
+/// snapshots: {full, pruned, dims scanned}.
+std::vector<uint64_t> Work(const DistanceStats& after,
+                           const DistanceStats& before) {
+  return {after.full_computations - before.full_computations,
+          after.pruned_computations - before.pruned_computations,
+          after.dims_scanned - before.dims_scanned};
+}
 
 class PersistenceTest : public ::testing::Test {
  protected:
@@ -50,15 +61,39 @@ TEST_F(PersistenceTest, SaveLoadRoundTripsAnswers) {
   EXPECT_NE((*restored)->monitor().Render().find("restored index from disk"),
             std::string::npos);
 
-  // Identical queries produce identical retrievals.
-  UserQuery query;
-  query.text = "find " + (*original)->world().ConceptName(2);
-  auto a = (*original)->Ask(query);
-  auto b = (*restored)->Ask(query);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a->items.size(), b->items.size());
-  for (size_t i = 0; i < a->items.size(); ++i) {
-    EXPECT_EQ(a->items[i].id, b->items[i].id);
+  // A reopened system is the same system: identical queries produce
+  // identical ids and distances from identical distance work. The queries
+  // cover text only, text plus a clicked image, and the same multimodal
+  // query under a skewed per-query weight override.
+  UserQuery text;
+  text.text = "find " + (*original)->world().ConceptName(2);
+  UserQuery clicked;
+  clicked.text = "find " + (*original)->world().ConceptName(5);
+  clicked.selected_object = 7;
+  UserQuery skewed = clicked;
+  skewed.weight_override.assign((*original)->weights().size(), 0.25f);
+  skewed.weight_override.front() = 4.0f;
+
+  const auto* a_must =
+      dynamic_cast<const MustFramework*>((*original)->framework_const());
+  const auto* b_must =
+      dynamic_cast<const MustFramework*>((*restored)->framework_const());
+  ASSERT_TRUE(a_must != nullptr && b_must != nullptr);
+  for (const UserQuery& query : {text, clicked, skewed}) {
+    SCOPED_TRACE(query.text + (query.weight_override.empty() ? "" : " skewed"));
+    const DistanceStats a_before = a_must->distance_stats();
+    const DistanceStats b_before = b_must->distance_stats();
+    auto a = (*original)->Ask(query);
+    auto b = (*restored)->Ask(query);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a->items.size(), b->items.size());
+    for (size_t i = 0; i < a->items.size(); ++i) {
+      EXPECT_EQ(a->items[i].id, b->items[i].id) << "rank " << i;
+      EXPECT_EQ(a->items[i].distance, b->items[i].distance) << "rank " << i;
+    }
+    const auto a_work = Work(a_must->distance_stats(), a_before);
+    EXPECT_GT(a_work[0] + a_work[1], 0u);
+    EXPECT_EQ(a_work, Work(b_must->distance_stats(), b_before));
   }
 }
 
