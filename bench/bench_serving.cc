@@ -1,18 +1,21 @@
 // Serving-E10 (concurrent front end): open-loop latency of the
-// multi-session server under steady load, and behaviour under a burst
-// that deliberately overruns the admission queue. Requests arrive on a
-// Poisson schedule from a seeded RNG (open loop: arrivals never wait for
-// completions, so queueing delay is measured honestly), fan out over
-// concurrent sessions round-robin, and execute on the worker pool with
-// cross-query batching. Reported per scenario: completed/shed counts,
-// latency percentiles (p50/p95/p99) of completed turns, and mean
-// search-batch occupancy.
+// multi-session server under steady load, behaviour under a burst that
+// deliberately overruns the admission queue, and closed-loop throughput
+// at saturation. Open-loop requests arrive on a Poisson schedule from a
+// seeded RNG (arrivals never wait for completions, so queueing delay is
+// measured honestly), fan out over concurrent sessions round-robin, and
+// execute on the worker pool. Reported per open-loop scenario:
+// completed/shed counts and latency percentiles (p50/p95/p99) of
+// completed turns. The saturation scenario keeps one turn outstanding per
+// session and reports turns/s at 1, 2 and 4 workers, plus the in-run
+// ratio of 4 workers to 1.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +24,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "common/sync.h"
 #include "server/server.h"
 
 namespace mqa {
@@ -35,7 +39,6 @@ struct ScenarioResult {
   double p50_ms = 0;
   double p95_ms = 0;
   double p99_ms = 0;
-  double mean_batch = 0;  ///< mean search-batch occupancy
 };
 
 double Percentile(std::vector<double>* values, double p) {
@@ -79,9 +82,6 @@ ScenarioResult RunScenario(Server* server, size_t requests, double rate_qps,
   }
 
   const uint32_t num_concepts = server->coordinator()->world().num_concepts();
-  const BatcherStats search_before = server->search_batcher() != nullptr
-                                         ? server->search_batcher()->stats()
-                                         : BatcherStats();
 
   // Completion records are preallocated; each callback touches only its
   // own slot plus the shared counters.
@@ -140,16 +140,6 @@ ScenarioResult RunScenario(Server* server, size_t requests, double rate_qps,
   out.p95_ms = Percentile(&completed_latencies, 0.95);
   out.p99_ms = Percentile(&completed_latencies, 0.99);
 
-  if (server->search_batcher() != nullptr) {
-    const BatcherStats search_after = server->search_batcher()->stats();
-    const uint64_t batches = search_after.batches - search_before.batches;
-    const uint64_t items = search_after.items - search_before.items;
-    out.mean_batch =
-        batches > 0
-            ? static_cast<double>(items) / static_cast<double>(batches)
-            : 0.0;
-  }
-
   for (uint64_t session : sessions) {
     (void)server->CloseSession(session);
   }
@@ -165,8 +155,90 @@ void AddScenarioMetrics(bench::JsonReporter* report, const std::string& name,
   report->AddMetric(name + "/p50_ms", r.p50_ms);
   report->AddMetric(name + "/p95_ms", r.p95_ms);
   report->AddMetric(name + "/p99_ms", r.p99_ms);
-  report->AddMetric(name + "/mean_batch_occupancy", r.mean_batch);
 }
+
+/// Closed loop at saturation: every session keeps exactly one turn
+/// outstanding, submitting its next turn from the previous turn's
+/// completion callback, until each has completed the same number of
+/// turns. Sessions run two-round dialogues ("show me <concept>", then the
+/// vague "show me more") and are reset between dialogues, so prompts stay
+/// short.
+class SaturationLoop {
+ public:
+  SaturationLoop(Server* server, size_t num_sessions, size_t turns)
+      : server_(server), turns_(turns), issued_(num_sessions, 0) {
+    for (size_t s = 0; s < num_sessions; ++s) {
+      sessions_.push_back(server_->OpenSession());
+    }
+  }
+  ~SaturationLoop() {
+    for (uint64_t session : sessions_) (void)server_->CloseSession(session);
+  }
+  SaturationLoop(const SaturationLoop&) = delete;
+  SaturationLoop& operator=(const SaturationLoop&) = delete;
+
+  /// Runs the loop to the end; returns completed turns per second.
+  double Run() {
+    const int64_t start = NowMicros();
+    for (size_t s = 0; s < sessions_.size(); ++s) SubmitNext(s);
+    {
+      MutexLock lock(&mu_);
+      while (finished_ < sessions_.size()) cv_.Wait(&mu_);
+    }
+    const double wall_s = static_cast<double>(NowMicros() - start) / 1e6;
+    return wall_s > 0 ? static_cast<double>(completed_.load()) / wall_s : 0;
+  }
+
+  size_t failed() const { return failed_.load(); }
+
+ private:
+  /// Submits session `s`'s next turn, or marks the session finished. Turns
+  /// of one session run one after another, so only its own chain of
+  /// callbacks touches issued_[s].
+  void SubmitNext(size_t s) {
+    const size_t t = issued_[s]++;
+    if (t == turns_) {
+      Finish();
+      return;
+    }
+    UserQuery query;
+    if (t % 2 == 0) {
+      (void)server_->ResetSession(sessions_[s]);
+      const World& world = server_->coordinator()->world();
+      query.text = "show me " + world.ConceptName(static_cast<uint32_t>(
+                                    (s + t) % world.num_concepts()));
+    } else {
+      query.text = "show me more";
+    }
+    const Status admitted = server_->Submit(
+        sessions_[s], std::move(query), [this, s](Result<AnswerTurn> turn) {
+          (turn.ok() ? completed_ : failed_).fetch_add(1);
+          SubmitNext(s);
+        });
+    if (!admitted.ok()) {
+      failed_.fetch_add(turns_ - t);
+      Finish();
+    }
+  }
+
+  /// Notifies under the lock: once Run sees the last session finish, it
+  /// may destroy the loop, so Finish must not touch it after unlocking.
+  void Finish() {
+    MutexLock lock(&mu_);
+    ++finished_;
+    cv_.NotifyAll();
+  }
+
+  Server* const server_;
+  const size_t turns_;
+  std::vector<uint64_t> sessions_;
+  std::vector<size_t> issued_;
+  std::atomic<size_t> completed_{0};
+  std::atomic<size_t> failed_{0};
+  Mutex mu_;
+  CondVar cv_;
+  size_t finished_ MQA_GUARDED_BY(mu_) = 0;
+};
 
 int Run(const bench::BenchArgs& args) {
   const size_t corpus = bench::Scaled(4000, args.scale, 600);
@@ -174,6 +246,8 @@ int Run(const bench::BenchArgs& args) {
   // Floor above the queue capacity: the burst must overrun the queue and
   // demonstrate shedding at any --scale.
   const size_t burst_requests = bench::Scaled(400, args.scale, 100);
+  const size_t saturation_turns = bench::Scaled(500, args.scale, 20);
+  constexpr size_t kSaturationSessions = 16;
 
   bench::Banner("Serving-E10: concurrent front end, open-loop arrivals (N = " +
                 std::to_string(corpus) + ")");
@@ -187,8 +261,6 @@ int Run(const bench::BenchArgs& args) {
   config.observability.trace_turns = false;  // measure serving, not tracing
   config.serving.num_workers = 4;
   config.serving.queue_capacity = 64;
-  config.serving.enable_batching = true;
-  config.serving.max_batch = 8;
   // Burst sheds must all be queue-full backpressure, so the report
   // separates admission control from breaker behaviour.
   config.serving.breaker_failure_threshold = 1 << 30;
@@ -215,12 +287,12 @@ int Run(const bench::BenchArgs& args) {
                   /*num_sessions=*/8, /*seed=*/79);
 
   bench::Table table({"scenario", "requests", "completed", "shed", "p50 ms",
-                      "p95 ms", "p99 ms", "mean batch"});
+                      "p95 ms", "p99 ms"});
   auto add_row = [&table](const std::string& name, const ScenarioResult& r) {
     table.AddRow({name, std::to_string(r.requests),
                   std::to_string(r.completed), std::to_string(r.shed),
                   FormatDouble(r.p50_ms, 2), FormatDouble(r.p95_ms, 2),
-                  FormatDouble(r.p99_ms, 2), FormatDouble(r.mean_batch, 2)});
+                  FormatDouble(r.p99_ms, 2)});
   };
   add_row("steady 150qps", steady);
   add_row("burst", burst);
@@ -235,6 +307,37 @@ int Run(const bench::BenchArgs& args) {
       static_cast<unsigned long long>(stats.completed),
       static_cast<unsigned long long>(stats.shed_queue_full),
       static_cast<unsigned long long>(stats.shed_deadline));
+  server->Shutdown();
+  server.reset();
+
+  // Scenario 3 — saturation: a closed loop of 16 sessions, one turn
+  // outstanding each, against a fresh server per worker count. The
+  // scaling ratio is measured within this run, so machine speed cancels.
+  std::printf("\nsaturation: %zu sessions x %zu turns, closed loop\n",
+              kSaturationSessions, saturation_turns);
+  bench::Table saturation({"workers", "turns/s", "failed"});
+  std::map<size_t, double> turns_per_s;
+  for (size_t workers : {1, 2, 4}) {
+    MqaConfig sized = config;
+    sized.serving.num_workers = workers;
+    auto sized_or = Server::Create(sized);
+    if (!sized_or.ok()) {
+      std::fprintf(stderr, "%s\n", sized_or.status().ToString().c_str());
+      return 1;
+    }
+    std::unique_ptr<Server> sized_server = std::move(sized_or).Value();
+    SaturationLoop(sized_server.get(), kSaturationSessions, 4).Run();  // warm
+    SaturationLoop loop(sized_server.get(), kSaturationSessions,
+                        saturation_turns);
+    turns_per_s[workers] = loop.Run();
+    saturation.AddRow({std::to_string(workers),
+                       FormatDouble(turns_per_s[workers], 0),
+                       std::to_string(loop.failed())});
+  }
+  const double scaling_4v1 =
+      turns_per_s[1] > 0 ? turns_per_s[4] / turns_per_s[1] : 0.0;
+  saturation.Print();
+  std::printf("scaling 4 workers vs 1: %.2fx\n", scaling_4v1);
 
   if (!args.json_path.empty()) {
     bench::JsonReporter report("bench_serving");
@@ -243,15 +346,16 @@ int Run(const bench::BenchArgs& args) {
                      static_cast<double>(config.serving.num_workers));
     report.AddConfig("queue_capacity",
                      static_cast<double>(config.serving.queue_capacity));
-    report.AddConfig("max_batch",
-                     static_cast<double>(config.serving.max_batch));
     report.AddConfig("scale", args.scale);
     AddScenarioMetrics(&report, "steady", steady);
     AddScenarioMetrics(&report, "burst", burst);
+    for (const auto& [workers, rate] : turns_per_s) {
+      report.AddMetric(
+          "saturation/w" + std::to_string(workers) + "_turns_per_s", rate);
+    }
+    report.AddMetric("saturation/scaling_4v1", scaling_4v1);
     if (!report.WriteToFile(args.json_path)) return 1;
   }
-
-  server->Shutdown();
   return 0;
 }
 

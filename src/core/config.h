@@ -63,20 +63,15 @@ struct ObservabilityOptions {
 };
 
 /// Knobs of the concurrent serving front end (src/server/): worker pool,
-/// admission-controlled request queue, overload circuit breaker and
-/// cross-query batching. Defaults give a small but real server; tests set
-/// `clock` to a MockClock for fully deterministic scheduling.
+/// admission-controlled request queue and overload circuit breaker.
+/// Defaults give a small but real server; tests set `clock` to a
+/// MockClock for fully deterministic scheduling.
 struct ServingOptions {
   size_t num_workers = 4;      ///< turn-executing worker threads (min 1)
   size_t queue_capacity = 64;  ///< bounded request queue (admission control)
   /// Per-turn deadline applied at admission when the query has none;
   /// 0 = no default deadline.
   double default_deadline_ms = 0.0;
-
-  // Cross-query batching inside the executor (encode + graph search).
-  bool enable_batching = true;
-  size_t max_batch = 8;              ///< flush when this many requests wait
-  double batch_flush_slack_ms = 1.0; ///< flush when deadline slack runs low
 
   // Overload breaker at the admission door, fed only by overload signals
   // (queue-full sheds and deadline expiries).
@@ -154,7 +149,7 @@ struct MqaConfig {
   // --- Observability (metrics + tracing) ---
   ObservabilityOptions observability;
 
-  // --- Serving (multi-session server + cross-query batching) ---
+  // --- Serving (multi-session server) ---
   ServingOptions serving;
 
   /// SIMD tier of the distance kernels: "auto" (detect via CPUID),

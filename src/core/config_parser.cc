@@ -136,15 +136,6 @@ Result<MqaConfig> ParseMqaConfig(const std::vector<std::string>& lines) {
     } else if (key == "serving.default_deadline_ms") {
       MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
       config.serving.default_deadline_ms = v;
-    } else if (key == "serving.enable_batching") {
-      MQA_ASSIGN_OR_RETURN(config.serving.enable_batching,
-                           ParseBool(key, value));
-    } else if (key == "serving.max_batch") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.serving.max_batch = static_cast<size_t>(v);
-    } else if (key == "serving.batch_flush_slack_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.serving.batch_flush_slack_ms = v;
     } else if (key == "serving.breaker_threshold") {
       MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
       config.serving.breaker_failure_threshold = static_cast<int>(v);

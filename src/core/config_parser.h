@@ -46,9 +46,6 @@ namespace mqa {
 ///   serving.num_workers     uint
 ///   serving.queue_capacity  uint
 ///   serving.default_deadline_ms float
-///   serving.enable_batching bool
-///   serving.max_batch       uint
-///   serving.batch_flush_slack_ms float
 ///   serving.breaker_threshold uint
 ///   serving.breaker_open_ms float
 /// plus the `resilience.*` and `observability.*` knob groups (see

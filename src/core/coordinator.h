@@ -75,9 +75,8 @@ class Coordinator {
 
   /// Ask() against caller-owned dialogue state. With distinct `state`
   /// objects this is safe to call from concurrent threads (the serving
-  /// path): all per-turn mutable state lives in `state`, and concurrent
-  /// framework access must be serialized by execution hooks (see
-  /// QueryExecutor::SetExecutionHooks; the Server installs batchers).
+  /// path): all per-turn mutable state lives in `state`, and the
+  /// executor's SearchStage runs framework searches one at a time.
   /// `state` must be non-null and externally serialized per conversation.
   Result<AnswerTurn> AskWithState(const UserQuery& query,
                                   DialogueState* state);

@@ -8,33 +8,37 @@
 
 namespace mqa {
 
-namespace {
+SearchStage::SearchStage(RetrievalFramework* framework)
+    : framework_(framework),
+      wait_ms_(MetricsRegistry::Global().GetHistogram(
+          "server/search_queue_wait_ms")) {}
 
-/// RAII bracket around one execution stage: tells the serving hooks which
-/// stage this thread is in (see ExecutionHooks::phase_begin).
-class PhaseScope {
- public:
-  PhaseScope(const ExecutionHooks* hooks, ExecPhase phase)
-      : hooks_(hooks), phase_(phase) {
-    if (hooks_ != nullptr && hooks_->phase_begin) hooks_->phase_begin(phase_);
-  }
-  ~PhaseScope() {
-    if (hooks_ != nullptr && hooks_->phase_end) hooks_->phase_end(phase_);
-  }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
+Result<RetrievalResult> SearchStage::Retrieve(const RetrievalQuery& query,
+                                              const SearchParams& params,
+                                              Clock* clock) {
+  const int64_t arrive_micros = clock->NowMicros();
+  MutexLock lock(&mu_);
+  wait_ms_->Record(static_cast<double>(clock->NowMicros() - arrive_micros) /
+                   1e3);
+  ++searches_;
+  return framework_->Retrieve(query, params);
+}
 
- private:
-  const ExecutionHooks* const hooks_;
-  const ExecPhase phase_;
-};
-
-}  // namespace
+BatcherStats SearchStage::stats() const {
+  MutexLock lock(&mu_);
+  return BatcherStats{searches_, searches_};
+}
 
 QueryExecutor::QueryExecutor(const KnowledgeBase* kb,
                              const EncoderSet* encoders,
                              RetrievalFramework* framework)
-    : kb_(kb), encoders_(encoders), framework_(framework) {}
+    : kb_(kb),
+      encoders_(encoders),
+      search_(framework),
+      executions_(MetricsRegistry::Global().GetCounter("query/executions")),
+      hops_(MetricsRegistry::Global().GetCounter("query/hops")),
+      dist_comps_(MetricsRegistry::Global().GetCounter("query/dist_comps")),
+      degraded_(MetricsRegistry::Global().GetCounter("query/degraded")) {}
 
 std::optional<size_t> QueryExecutor::SlotOfType(ModalityType type) const {
   const ModalitySchema& schema = kb_->schema();
@@ -50,18 +54,12 @@ void QueryExecutor::EnableResilience(const RetryPolicy& retry, Clock* clock) {
   clock_ = clock;
 }
 
-Result<Vector> QueryExecutor::EncodeSlot(size_t slot, const Payload& payload,
-                                         int64_t deadline_micros) const {
-  const ExecutionHooks* hooks = hooks_.get();
+Result<Vector> QueryExecutor::EncodeSlot(size_t slot,
+                                         const Payload& payload) const {
   auto encode_once = [&]() -> Result<Vector> {
-    if (hooks != nullptr && hooks->encode) {
-      return hooks->encode(slot, payload, deadline_micros);
-    }
     return encoders_->EncodeModality(slot, payload);
   };
   if (!resilience_) return encode_once();
-  // The retry wraps the hook: a failed attempt re-enters the batcher as a
-  // fresh request and may coalesce with a different batch.
   Retrier retrier(encoder_retry_, clock_);
   return retrier.Run<Vector>(encode_once);
 }
@@ -69,7 +67,6 @@ Result<Vector> QueryExecutor::EncodeSlot(size_t slot, const Payload& payload,
 Result<RetrievalQuery> QueryExecutor::EncodeUserQuery(
     const UserQuery& query, std::vector<std::string>* degradation) const {
   Span span("query/encode");
-  PhaseScope phase(hooks_.get(), ExecPhase::kEncode);
   RetrievalQuery out;
   out.modalities.parts.resize(encoders_->num_modalities());
   out.weights = query.weight_override;
@@ -83,7 +80,7 @@ Result<RetrievalQuery> QueryExecutor::EncodeUserQuery(
   uint64_t dropped = 0;
   auto encode_into_slot = [&](size_t slot, const Payload& payload,
                               const char* label) -> Status {
-    Result<Vector> encoded = EncodeSlot(slot, payload, query.deadline_micros);
+    Result<Vector> encoded = EncodeSlot(slot, payload);
     if (encoded.ok()) {
       out.modalities.parts[slot] = std::move(encoded).Value();
       any = true;
@@ -163,14 +160,11 @@ Result<RetrievalQuery> QueryExecutor::EncodeUserQuery(
 Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
                                             const SearchParams& params) {
   Span span("query/execute");
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.GetCounter("query/executions")->Increment();
-  if (query.deadline_micros > 0) {
-    Clock* clock = clock_ != nullptr ? clock_ : SystemClock();
-    if (clock->NowMicros() >= query.deadline_micros) {
-      return Status::DeadlineExceeded(
-          "query deadline expired before execution");
-    }
+  executions_->Increment();
+  Clock* clock = clock_ != nullptr ? clock_ : SystemClock();
+  if (query.deadline_micros > 0 &&
+      clock->NowMicros() >= query.deadline_micros) {
+    return Status::DeadlineExceeded("query deadline expired before execution");
   }
   QueryOutcome outcome;
   MQA_ASSIGN_OR_RETURN(RetrievalQuery rq,
@@ -188,12 +182,8 @@ Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
   }
   {
     Span retrieve_span("query/retrieve");
-    const ExecutionHooks* hooks = hooks_.get();
-    PhaseScope search_phase(hooks, ExecPhase::kSearch);
     Result<RetrievalResult> retrieved =
-        (hooks != nullptr && hooks->search)
-            ? hooks->search(rq, effective, query.deadline_micros)
-            : framework_->Retrieve(rq, effective);
+        search_.Retrieve(rq, effective, clock);
     if (retrieved.ok()) {
       outcome.retrieval = std::move(retrieved).Value();
     } else if (resilience_ && retrieved.status().IsRetryable() &&
@@ -210,10 +200,8 @@ Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
       return retrieved.status();
     }
   }
-  metrics.GetCounter("query/hops")
-      ->Increment(outcome.retrieval.stats.hops);
-  metrics.GetCounter("query/dist_comps")
-      ->Increment(outcome.retrieval.stats.dist_comps);
+  hops_->Increment(outcome.retrieval.stats.hops);
+  dist_comps_->Increment(outcome.retrieval.stats.dist_comps);
   if (outcome.retrieval.stats.partial) {
     outcome.degradation.push_back(
         "disk index served partial (cache-only) results after " +
@@ -229,7 +217,7 @@ Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
         ": results may be missing entries from unreachable shards");
   }
   if (!outcome.degradation.empty()) {
-    metrics.GetCounter("query/degraded")->Increment();
+    degraded_->Increment();
   }
   // Preference markers: items sharing the clicked result's concept are
   // flagged for the answer generator.

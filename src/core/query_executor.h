@@ -3,13 +3,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/retry.h"
+#include "common/sync.h"
 #include "encoder/encoder.h"
 #include "llm/prompt_builder.h"
 #include "retrieval/framework.h"
@@ -30,7 +31,7 @@ struct UserQuery {
   std::function<bool(const Object&)> object_filter;
   /// Absolute deadline in the executor clock's epoch (0 = none). Set by
   /// the serving layer; the executor sheds expired queries and passes the
-  /// deadline to the batching hooks so they can flush on low slack.
+  /// deadline on to the framework.
   int64_t deadline_micros = 0;
 };
 
@@ -43,33 +44,49 @@ struct QueryOutcome {
   std::vector<std::string> degradation;
 };
 
-/// The two execution stages a serving layer may intercept.
-enum class ExecPhase { kEncode, kSearch };
+/// Cumulative counts of a SearchStage. Each search is its own batch, so
+/// both fields count the searches that passed the stage. The name is the
+/// one the cross-query batcher used before this stage replaced it; it
+/// stays because benchmark code reads it through Server::search_batcher().
+struct BatcherStats {
+  uint64_t batches = 0;
+  uint64_t items = 0;
+};
 
-/// Interception points for the serving layer's cross-query batching: when
-/// installed, every encoder call and every framework search of this
-/// executor is routed through the corresponding hook (which the server
-/// wires to a Batcher), and `phase_begin`/`phase_end` bracket each stage
-/// so the batcher knows which workers can still contribute requests.
-/// Unset members fall back to the direct (unhooked) path. All hooks must
-/// be thread-safe; the executor itself holds no mutable state per query,
-/// so with hooks installed Execute may be called concurrently.
-struct ExecutionHooks {
-  std::function<void(ExecPhase)> phase_begin;
-  std::function<void(ExecPhase)> phase_end;
-  std::function<Result<Vector>(size_t slot, const Payload& payload,
-                               int64_t deadline_micros)>
-      encode;
-  std::function<Result<RetrievalResult>(const RetrievalQuery& query,
-                                        const SearchParams& params,
-                                        int64_t deadline_micros)>
-      search;
+/// Runs one executor's framework searches one at a time, each on the
+/// thread of the turn that issued it. RetrievalFramework::Retrieve is not
+/// re-entrant: MUST writes each query's weights into its shared distance
+/// and restores them, and the sharded layer records its last fan-out
+/// report. The wait to enter is recorded in the histogram
+/// "server/search_queue_wait_ms".
+class SearchStage {
+ public:
+  explicit SearchStage(RetrievalFramework* framework);
+  SearchStage(const SearchStage&) = delete;
+  SearchStage& operator=(const SearchStage&) = delete;
+
+  /// framework->Retrieve(query, params) under the stage mutex; `clock`
+  /// times the wait.
+  Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
+                                   const SearchParams& params, Clock* clock);
+
+  BatcherStats stats() const;
+
+ private:
+  RetrievalFramework* const framework_;
+  Histogram* const wait_ms_;
+  mutable Mutex mu_;
+  uint64_t searches_ MQA_GUARDED_BY(mu_) = 0;
 };
 
 /// The Query Execution component: encodes a user query into per-modality
 /// vectors (text via the text encoder; image via the image encoder from
 /// either the upload or the selected previous result — the dotted feedback
 /// arrow in Figure 2) and runs the configured retrieval framework.
+///
+/// Execute may be called from concurrent threads: the encoders hold no
+/// mutable state, and framework searches pass the SearchStage one at a
+/// time.
 class QueryExecutor {
  public:
   /// All pointers are borrowed and must outlive the executor.
@@ -83,13 +100,6 @@ class QueryExecutor {
   /// inside the framework). Only when every requested modality fails does
   /// Execute return kUnavailable.
   void EnableResilience(const RetryPolicy& retry, Clock* clock = nullptr);
-
-  /// Installs (or clears, with null) the serving layer's batching hooks.
-  /// Not thread-safe against in-flight Execute calls: install before
-  /// serving starts.
-  void SetExecutionHooks(std::shared_ptr<const ExecutionHooks> hooks) {
-    hooks_ = std::move(hooks);
-  }
 
   /// Overrides the clock used for deadline checks (and, when resilience
   /// is on, encoder retry backoff). The serving layer installs its own
@@ -110,20 +120,23 @@ class QueryExecutor {
       const UserQuery& query,
       std::vector<std::string>* degradation = nullptr) const;
 
+  const SearchStage& search_stage() const { return search_; }
+
  private:
   /// First schema slot of the given type, or nullopt.
   std::optional<size_t> SlotOfType(ModalityType type) const;
 
-  /// One encoder call (through the encode hook when installed), retried
-  /// under the resilience policy when enabled.
-  Result<Vector> EncodeSlot(size_t slot, const Payload& payload,
-                            int64_t deadline_micros) const;
+  /// One encoder call, retried under the resilience policy when enabled.
+  Result<Vector> EncodeSlot(size_t slot, const Payload& payload) const;
 
   const KnowledgeBase* kb_;
   const EncoderSet* encoders_;
-  RetrievalFramework* framework_;
+  SearchStage search_;
 
-  std::shared_ptr<const ExecutionHooks> hooks_;
+  Counter* const executions_;
+  Counter* const hops_;
+  Counter* const dist_comps_;
+  Counter* const degraded_;
   bool resilience_ = false;
   RetryPolicy encoder_retry_;
   Clock* clock_ = nullptr;

@@ -35,16 +35,6 @@ Result<Vector> EncoderSet::EncodeModality(size_t slot,
   return encoders_[slot]->Encode(payload);
 }
 
-std::vector<Result<Vector>> EncoderSet::EncodeModalityBatch(
-    const std::vector<ModalityEncodeRequest>& batch) const {
-  std::vector<Result<Vector>> out;
-  out.reserve(batch.size());
-  for (const ModalityEncodeRequest& request : batch) {
-    out.push_back(EncodeModality(request.slot, request.payload));
-  }
-  return out;
-}
-
 Result<Vector> PrecomputedEncoder::Encode(const Payload& payload) {
   if (payload.features.size() != dim_) {
     return Status::InvalidArgument(

@@ -19,17 +19,13 @@ class ModalityEncoder {
   virtual ~ModalityEncoder() = default;
 
   /// Embeds a payload. Fails when the payload shape does not match the
-  /// modality (e.g. missing features).
+  /// modality (e.g. missing features). Concurrent serving turns call it
+  /// from several threads at once, so implementations must be
+  /// thread-safe; the shipped encoders hold no mutable state.
   virtual Result<Vector> Encode(const Payload& payload) = 0;
 
   virtual size_t dim() const = 0;
   virtual std::string name() const = 0;
-};
-
-/// One single-modality encode request, as batched by the serving layer.
-struct ModalityEncodeRequest {
-  size_t slot = 0;
-  Payload payload;
 };
 
 /// One encoder per modality slot — the "Vector Representation" component's
@@ -50,14 +46,6 @@ class EncoderSet {
 
   /// Encodes a single modality payload.
   Result<Vector> EncodeModality(size_t slot, const Payload& payload) const;
-
-  /// Batched flavour for the serving layer's cross-query batching: one
-  /// result per request, in order. Items are encoded independently, so
-  /// the outputs are bit-identical to per-item EncodeModality calls (the
-  /// batch amortizes dispatch, it never changes results) and one bad
-  /// request fails only its own slot.
-  std::vector<Result<Vector>> EncodeModalityBatch(
-      const std::vector<ModalityEncodeRequest>& batch) const;
 
   const ModalityEncoder& encoder(size_t slot) const {
     return *encoders_[slot];

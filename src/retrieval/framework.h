@@ -26,8 +26,8 @@ struct RetrievalQuery {
   MultiVector modalities;
   std::vector<float> weights;
   /// Absolute deadline in the framework clock's epoch (0 = none). Flows
-  /// from UserQuery through the executor and batching hooks; the sharded
-  /// layer derives per-shard deadline slices from it.
+  /// from UserQuery through the executor; the sharded layer derives
+  /// per-shard deadline slices from it.
   int64_t deadline_micros = 0;
 };
 

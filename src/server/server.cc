@@ -32,7 +32,27 @@ Server::Server(std::unique_ptr<Coordinator> coordinator,
     : coordinator_(std::move(coordinator)),
       options_(options),
       breaker_(MakeBreakerConfig(options), options.clock),
-      queue_(std::max<size_t>(1, options.queue_capacity)) {
+      queue_(std::max<size_t>(1, options.queue_capacity)),
+      submitted_metric_(
+          MetricsRegistry::Global().GetCounter("server/submitted")),
+      accepted_metric_(MetricsRegistry::Global().GetCounter("server/accepted")),
+      completed_metric_(
+          MetricsRegistry::Global().GetCounter("server/completed")),
+      failed_metric_(MetricsRegistry::Global().GetCounter("server/failed")),
+      shed_queue_full_metric_(
+          MetricsRegistry::Global().GetCounter("server/shed_queue_full")),
+      shed_breaker_metric_(
+          MetricsRegistry::Global().GetCounter("server/shed_breaker")),
+      shed_deadline_metric_(
+          MetricsRegistry::Global().GetCounter("server/shed_deadline")),
+      queue_depth_metric_(
+          MetricsRegistry::Global().GetGauge("server/queue_depth")),
+      open_sessions_metric_(
+          MetricsRegistry::Global().GetGauge("server/open_sessions")),
+      queue_wait_ms_metric_(
+          MetricsRegistry::Global().GetHistogram("server/queue_wait_ms")),
+      turn_latency_ms_metric_(
+          MetricsRegistry::Global().GetHistogram("server/turn_latency_ms")) {
   if (options_.num_workers == 0) options_.num_workers = 1;
   // Surface the resolved kernel tier where operators look first: the
   // startup log and a gauge (0 = scalar, 1 = avx2, 2 = avx512).
@@ -42,7 +62,10 @@ Server::Server(std::unique_ptr<Coordinator> coordinator,
   MetricsRegistry::Global()
       .GetGauge("server/simd_level")
       ->Set(static_cast<double>(static_cast<int>(simd)));
-  InstallBatchers();
+  QueryExecutor* executor = coordinator_->executor();
+  if (executor != nullptr && options_.clock != nullptr) {
+    executor->SetClock(options_.clock);
+  }
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -51,62 +74,9 @@ Server::Server(std::unique_ptr<Coordinator> coordinator,
 
 Server::~Server() { Shutdown(); }
 
-void Server::InstallBatchers() {
-  QueryExecutor* executor = coordinator_->executor();
-  RetrievalFramework* framework = coordinator_->framework();
-  if (executor == nullptr || framework == nullptr) return;  // LLM-only mode
-  const EncoderSet* encoders = &coordinator_->encoders();
-
-  BatcherOptions batch_options;
-  batch_options.max_batch = options_.enable_batching ? options_.max_batch : 1;
-  batch_options.flush_slack_ms = options_.batch_flush_slack_ms;
-  batch_options.clock = options_.clock;
-
-  batch_options.name = "encode";
-  encode_batcher_ = std::make_unique<Batcher<EncodeCall, Vector>>(
-      batch_options, [encoders](const std::vector<EncodeCall>& batch) {
-        return encoders->EncodeModalityBatch(batch);
-      });
-
-  batch_options.name = "search";
-  search_batcher_ = std::make_unique<Batcher<SearchCall, RetrievalResult>>(
-      batch_options, [framework](const std::vector<SearchCall>& batch) {
-        // Sequential per-item execution inside the single flush thread:
-        // batched results stay bit-identical to unbatched ones, and the
-        // non-thread-safe framework only ever sees one caller.
-        std::vector<Result<RetrievalResult>> out;
-        out.reserve(batch.size());
-        for (const SearchCall& call : batch) {
-          out.push_back(framework->Retrieve(call.query, call.params));
-        }
-        return out;
-      });
-
-  auto hooks = std::make_shared<ExecutionHooks>();
-  hooks->phase_begin = [this](ExecPhase phase) {
-    (phase == ExecPhase::kEncode ? encode_batcher_->Enter()
-                                 : search_batcher_->Enter());
-  };
-  hooks->phase_end = [this](ExecPhase phase) {
-    (phase == ExecPhase::kEncode ? encode_batcher_->Exit()
-                                 : search_batcher_->Exit());
-  };
-  hooks->encode = [this](size_t slot, const Payload& payload,
-                         int64_t deadline_micros) {
-    EncodeCall call;
-    call.slot = slot;
-    call.payload = payload;
-    return encode_batcher_->Submit(std::move(call), deadline_micros);
-  };
-  hooks->search = [this](const RetrievalQuery& query,
-                         const SearchParams& params, int64_t deadline_micros) {
-    SearchCall call;
-    call.query = query;
-    call.params = params;
-    return search_batcher_->Submit(std::move(call), deadline_micros);
-  };
-  executor->SetExecutionHooks(std::move(hooks));
-  if (options_.clock != nullptr) executor->SetClock(options_.clock);
+const SearchStage* Server::search_batcher() const {
+  const QueryExecutor* executor = coordinator_->executor();
+  return executor != nullptr ? &executor->search_stage() : nullptr;
 }
 
 uint64_t Server::OpenSession() {
@@ -114,8 +84,7 @@ uint64_t Server::OpenSession() {
   MutexLock lock(&mu_);
   session->id = next_session_id_++;
   sessions_[session->id] = session;
-  MetricsRegistry::Global().GetGauge("server/open_sessions")
-      ->Set(static_cast<double>(sessions_.size()));
+  open_sessions_metric_->Set(static_cast<double>(sessions_.size()));
   return session->id;
 }
 
@@ -124,8 +93,7 @@ Status Server::CloseSession(uint64_t session_id) {
   if (sessions_.erase(session_id) == 0) {
     return Status::NotFound("unknown session " + std::to_string(session_id));
   }
-  MetricsRegistry::Global().GetGauge("server/open_sessions")
-      ->Set(static_cast<double>(sessions_.size()));
+  open_sessions_metric_->Set(static_cast<double>(sessions_.size()));
   return Status::OK();
 }
 
@@ -187,14 +155,13 @@ Status Server::Submit(uint64_t session_id, UserQuery query, AskCallback done) {
   if (session == nullptr) {
     return Status::NotFound("unknown session " + std::to_string(session_id));
   }
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.GetCounter("server/submitted")->Increment();
+  submitted_metric_->Increment();
 
   // Overload policy step 1: the breaker sheds at the door while open.
   Status admitted = breaker_.Admit();
   if (!admitted.ok()) {
     shed_breaker_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server/shed_breaker")->Increment();
+    shed_breaker_metric_->Increment();
     return admitted;
   }
 
@@ -216,15 +183,14 @@ Status Server::Submit(uint64_t session_id, UserQuery query, AskCallback done) {
   // that eventually trips it.
   if (!queue_.TryPush(std::move(turn))) {
     shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server/shed_queue_full")->Increment();
+    shed_queue_full_metric_->Increment();
     breaker_.RecordFailure();
     return Status::ResourceExhausted("server request queue is full (capacity " +
                                      std::to_string(queue_.capacity()) + ")");
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
-  metrics.GetCounter("server/accepted")->Increment();
-  metrics.GetGauge("server/queue_depth")
-      ->Set(static_cast<double>(queue_.size()));
+  accepted_metric_->Increment();
+  queue_depth_metric_->Set(static_cast<double>(queue_.size()));
   return Status::OK();
 }
 
@@ -258,12 +224,10 @@ void Server::WorkerLoop() {
 }
 
 void Server::RunTurn(PendingTurn turn) {
-  MetricsRegistry& metrics = MetricsRegistry::Global();
   const int64_t start_micros = clock()->NowMicros();
-  metrics.GetHistogram("server/queue_wait_ms")
-      ->Record(static_cast<double>(start_micros - turn.enqueue_micros) / 1e3);
-  metrics.GetGauge("server/queue_depth")
-      ->Set(static_cast<double>(queue_.size()));
+  queue_wait_ms_metric_->Record(
+      static_cast<double>(start_micros - turn.enqueue_micros) / 1e3);
+  queue_depth_metric_->Set(static_cast<double>(queue_.size()));
 
   // Overload policy step 3: a turn whose deadline passed while it sat in
   // the queue is shed before any work is spent on it. This, too, feeds
@@ -271,7 +235,7 @@ void Server::RunTurn(PendingTurn turn) {
   // than the latency budget.
   if (turn.deadline_micros > 0 && start_micros >= turn.deadline_micros) {
     shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server/shed_deadline")->Increment();
+    shed_deadline_metric_->Increment();
     breaker_.RecordFailure();
     turn.done(Status::DeadlineExceeded("turn deadline expired while queued"));
     return;
@@ -297,17 +261,15 @@ void Server::RunTurn(PendingTurn turn) {
     }
   }
 
-  metrics.GetHistogram("server/turn_latency_ms")
-      ->Record(static_cast<double>(clock()->NowMicros() -
-                                   turn.enqueue_micros) /
-               1e3);
+  turn_latency_ms_metric_->Record(
+      static_cast<double>(clock()->NowMicros() - turn.enqueue_micros) / 1e3);
   if (result.ok()) {
     completed_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server/completed")->Increment();
+    completed_metric_->Increment();
     breaker_.RecordSuccess();
   } else {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server/failed")->Increment();
+    failed_metric_->Increment();
     // The breaker is strictly an *overload* signal: mid-flight deadline
     // expiry counts against it, any other application error proves the
     // serving plane itself is keeping up.

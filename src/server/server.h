@@ -13,20 +13,11 @@
 
 #include "common/circuit_breaker.h"
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "core/coordinator.h"
-#include "server/batcher.h"
 #include "server/request_queue.h"
 
 namespace mqa {
-
-/// One encode or graph-search call as it travels through a Batcher. The
-/// encode flavour is the encoder layer's own batched-request type, so a
-/// full batch maps onto one EncoderSet::EncodeModalityBatch invocation.
-using EncodeCall = ModalityEncodeRequest;
-struct SearchCall {
-  RetrievalQuery query;
-  SearchParams params;
-};
 
 /// Completion callback of an asynchronous turn. Invoked exactly once, on a
 /// worker thread, after the turn completed or failed *post-admission*
@@ -64,19 +55,18 @@ struct ServerStatsSnapshot {
 ///      deadline_micros); a worker sheds turns that expired while queued
 ///      and the executor aborts turns that expire mid-flight.
 ///
-/// Inside the workers, cross-query batching: encode and graph-search
-/// calls from concurrent turns are coalesced by two Batchers (installed
-/// as ExecutionHooks on the coordinator's QueryExecutor), which also
-/// serializes access to the non-thread-safe RetrievalFramework. Per-turn
-/// dialogue state (rewriter history, prompt history, result selection)
-/// lives in a per-session ServerSession, so concurrent sessions never
-/// share conversational state.
+/// Each worker runs its turn start to finish on its own thread through
+/// Coordinator::AskWithState: encoders are called directly, and the
+/// executor's SearchStage lets one framework search run at a time.
+/// Per-turn dialogue state (rewriter history, prompt history, result
+/// selection) lives in a per-session ServerSession, so concurrent
+/// sessions never share conversational state.
 ///
-/// Lock ordering (see DESIGN.md "Serving & batching"): Server::mu_ (the
-/// session map) is never held across a turn; a worker holds one
-/// ServerSession::mu for the whole turn and acquires Batcher::mu_ (via
-/// Submit) and the breaker's internal mutex strictly inside it. Batcher
-/// batch functions take no further mqa locks.
+/// Lock ordering (see DESIGN.md "Serving"): Server::mu_ (the session map)
+/// is never held across a turn; a worker holds one ServerSession::mu for
+/// the whole turn and acquires the SearchStage mutex and the breaker's
+/// internal mutex strictly inside it. Nothing under a search takes a
+/// session lock.
 ///
 /// Thread-safe. While a Server is serving, do not call mutating
 /// Coordinator operations (SetFramework, SetWeights, IngestObject,
@@ -141,12 +131,10 @@ class Server {
   Result<std::vector<RetrievedItem>> LastResults(uint64_t session_id) const;
   Result<size_t> DialogueHistorySize(uint64_t session_id) const;
 
-  const Batcher<EncodeCall, Vector>* encode_batcher() const {
-    return encode_batcher_.get();
-  }
-  const Batcher<SearchCall, RetrievalResult>* search_batcher() const {
-    return search_batcher_.get();
-  }
+  /// The current executor's search stage (null in LLM-only mode). The
+  /// name is the one the cross-query batcher had; benchmarks read its
+  /// stats().
+  const SearchStage* search_batcher() const;
 
  private:
   /// Per-session conversational state. `mu` serializes the session's
@@ -174,7 +162,6 @@ class Server {
     return options_.clock != nullptr ? options_.clock : SystemClock();
   }
 
-  void InstallBatchers();
   void WorkerLoop();
   void RunTurn(PendingTurn turn);
   std::shared_ptr<ServerSession> FindSession(uint64_t session_id) const;
@@ -182,10 +169,6 @@ class Server {
   std::unique_ptr<Coordinator> coordinator_;
   ServingOptions options_;
   CircuitBreaker breaker_;
-
-  std::unique_ptr<Batcher<EncodeCall, Vector>> encode_batcher_;
-  std::unique_ptr<Batcher<SearchCall, RetrievalResult>> search_batcher_;
-
   BoundedQueue<PendingTurn> queue_;
 
   mutable Mutex mu_;  ///< session map only; never held across a turn
@@ -200,6 +183,19 @@ class Server {
   std::atomic<uint64_t> shed_queue_full_{0};
   std::atomic<uint64_t> shed_breaker_{0};
   std::atomic<uint64_t> shed_deadline_{0};
+
+  // The "server/..." metrics, resolved once at construction.
+  Counter* const submitted_metric_;
+  Counter* const accepted_metric_;
+  Counter* const completed_metric_;
+  Counter* const failed_metric_;
+  Counter* const shed_queue_full_metric_;
+  Counter* const shed_breaker_metric_;
+  Counter* const shed_deadline_metric_;
+  Gauge* const queue_depth_metric_;
+  Gauge* const open_sessions_metric_;
+  Histogram* const queue_wait_ms_metric_;
+  Histogram* const turn_latency_ms_metric_;
 
   std::vector<std::thread> workers_;
 };

@@ -67,7 +67,7 @@ struct FanoutReport {
 ///    (a degradation note upstream), never as silently truncated results.
 ///
 /// Thread-safety: like every RetrievalFramework, Retrieve is not
-/// thread-safe (callers serialize, e.g. the server's search batcher). The
+/// thread-safe (callers serialize, e.g. the executor's SearchStage). The
 /// internal fan-out pool is an implementation detail; per-query completion
 /// is tracked with a function-local Mutex/CondVar (a leaf in the lock
 /// hierarchy: no other lock is ever held while it is acquired, and shard

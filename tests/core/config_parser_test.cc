@@ -78,24 +78,17 @@ TEST(ConfigParserTest, ParsesServingKeys) {
       "serving.num_workers = 8\n"
       "serving.queue_capacity = 128\n"
       "serving.default_deadline_ms = 250\n"
-      "serving.enable_batching = false\n"
-      "serving.max_batch = 16\n"
-      "serving.batch_flush_slack_ms = 2.5\n"
       "serving.breaker_threshold = 4\n"
       "serving.breaker_open_ms = 750\n");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   EXPECT_EQ(config->serving.num_workers, 8u);
   EXPECT_EQ(config->serving.queue_capacity, 128u);
   EXPECT_DOUBLE_EQ(config->serving.default_deadline_ms, 250.0);
-  EXPECT_FALSE(config->serving.enable_batching);
-  EXPECT_EQ(config->serving.max_batch, 16u);
-  EXPECT_DOUBLE_EQ(config->serving.batch_flush_slack_ms, 2.5);
   EXPECT_EQ(config->serving.breaker_failure_threshold, 4);
   EXPECT_DOUBLE_EQ(config->serving.breaker_open_ms, 750.0);
-  // Defaults: batching on, no default deadline.
+  // Defaults: no default deadline.
   auto defaults = ParseMqaConfig({});
   ASSERT_TRUE(defaults.ok());
-  EXPECT_TRUE(defaults->serving.enable_batching);
   EXPECT_DOUBLE_EQ(defaults->serving.default_deadline_ms, 0.0);
 }
 

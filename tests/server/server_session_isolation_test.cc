@@ -20,6 +20,13 @@ std::vector<uint64_t> Ids(const std::vector<RetrievedItem>& items) {
   return ids;
 }
 
+std::vector<float> Distances(const std::vector<RetrievedItem>& items) {
+  std::vector<float> distances;
+  distances.reserve(items.size());
+  for (const RetrievedItem& item : items) distances.push_back(item.distance);
+  return distances;
+}
+
 /// Regression suite for cross-session leakage: concurrent interleaved
 /// sessions must keep their dialogue history, vague-query context and
 /// comparative-round selections strictly private.
@@ -29,7 +36,6 @@ class SessionIsolationTest : public ::testing::Test {
     clock_ = new MockClock();
     MqaConfig config = SmallConfig();
     config.serving.num_workers = 3;
-    config.serving.max_batch = 4;
     config.serving.clock = clock_;
     auto server = Server::Create(config);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -149,27 +155,37 @@ TEST_F(SessionIsolationTest, ResetSessionClearsOnlyThatSession) {
 }
 
 TEST_F(SessionIsolationTest, ConcurrentSessionsMatchSequentialReference) {
-  // Equivalence under concurrency *and* batching: the same per-session
-  // query streams produce bit-identical retrieval results whether they
-  // run interleaved through the batched server or sequentially against a
-  // fresh identically-configured system.
-  constexpr size_t kSessions = 4;
-  constexpr size_t kTurns = 3;
+  // Equivalence under concurrency: the same per-session query streams
+  // produce bit-identical retrieval results (ids and distances) whether
+  // they run interleaved through the server or sequentially against a
+  // fresh identically-configured system. Each session skews its own
+  // modality weights (one modality at 4x, alternating), and MUST writes a
+  // query's weights into the distance it shares with every other search,
+  // so a lost serialization of searches shows up here (and as a race
+  // under TSan).
+  constexpr size_t kSessions = 6;
+  constexpr size_t kTurns = 4;
+  auto make_query = [](const Coordinator& c, size_t s) {
+    UserQuery query;
+    query.text = "show me " + c.world().ConceptName(static_cast<uint32_t>(
+                                  (s + 2) % c.world().num_concepts()));
+    query.weight_override.assign(c.world().num_modalities(), 1.0f);
+    query.weight_override[s % query.weight_override.size()] = 4.0f;
+    return query;
+  };
+
   std::vector<uint64_t> sessions(kSessions);
   for (size_t s = 0; s < kSessions; ++s) sessions[s] = server_->OpenSession();
-
-  std::vector<std::vector<std::vector<uint64_t>>> concurrent(
-      kSessions, std::vector<std::vector<uint64_t>>(kTurns));
+  std::vector<std::vector<std::vector<RetrievedItem>>> concurrent(
+      kSessions, std::vector<std::vector<RetrievedItem>>(kTurns));
   std::vector<std::thread> clients;
   for (size_t s = 0; s < kSessions; ++s) {
-    clients.emplace_back([&sessions, &concurrent, s] {
+    clients.emplace_back([&sessions, &concurrent, &make_query, s] {
+      const UserQuery query = make_query(*server_->coordinator(), s);
       for (size_t t = 0; t < kTurns; ++t) {
-        UserQuery query;
-        query.text = "show me " + server_->coordinator()->world().ConceptName(
-                                      static_cast<uint32_t>(s + 2));
         Result<AnswerTurn> turn = server_->Ask(sessions[s], query);
         ASSERT_TRUE(turn.ok()) << turn.status().ToString();
-        concurrent[s][t] = Ids(turn.Value().items);
+        concurrent[s][t] = turn.Value().items;
       }
     });
   }
@@ -180,21 +196,21 @@ TEST_F(SessionIsolationTest, ConcurrentSessionsMatchSequentialReference) {
 
   // Sequential reference: a second system built from the same seeded
   // config, one DialogueState per simulated session, no server, no
-  // batching, no concurrency.
+  // concurrency.
   auto reference = Coordinator::Create(SmallConfig());
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (size_t s = 0; s < kSessions; ++s) {
     Coordinator::DialogueState state;
+    const UserQuery query = make_query(**reference, s);
     for (size_t t = 0; t < kTurns; ++t) {
-      UserQuery query;
-      query.text = "show me " + (*reference)->world().ConceptName(
-                                    static_cast<uint32_t>(s + 2));
       Result<AnswerTurn> turn = (*reference)->AskWithState(query, &state);
       ASSERT_TRUE(turn.ok()) << turn.status().ToString();
-      EXPECT_EQ(Ids(turn.Value().items), concurrent[s][t])
-          << "batched/concurrent retrieval diverged from the sequential "
-             "reference at session "
+      EXPECT_EQ(Ids(turn.Value().items), Ids(concurrent[s][t]))
+          << "concurrent retrieval diverged from the sequential reference "
+             "at session "
           << s << " turn " << t;
+      EXPECT_EQ(Distances(turn.Value().items), Distances(concurrent[s][t]))
+          << "session " << s << " turn " << t;
     }
   }
 }

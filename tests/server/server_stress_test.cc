@@ -2,18 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/trace.h"
 #include "../core/core_test_util.h"
 
 namespace mqa {
 namespace {
 
 using ::mqa::testing::SmallConfig;
+
+size_t CountSpans(const Trace& trace, const std::string& name) {
+  const std::vector<SpanRecord> spans = trace.spans();
+  return static_cast<size_t>(
+      std::count_if(spans.begin(), spans.end(),
+                    [&name](const SpanRecord& s) { return s.name == name; }));
+}
 
 /// The deterministic multi-session stress proof: N client threads drive M
 /// turns each through one Server on a MockClock (no real sleeps anywhere),
@@ -30,8 +39,6 @@ class ServerStressTest : public ::testing::Test {
     MqaConfig config = SmallConfig();
     config.serving.num_workers = 4;
     config.serving.queue_capacity = 64;
-    config.serving.enable_batching = true;
-    config.serving.max_batch = 4;
     config.serving.clock = clock_;
     auto server = Server::Create(config);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -80,6 +87,11 @@ TEST_F(ServerStressTest, EveryTurnOfEverySessionCompletes) {
         ++completed;
         EXPECT_FALSE(turn.Value().answer.empty());
         EXPECT_FALSE(turn.Value().items.empty());
+        // Every search and encode runs on the thread of the turn that
+        // issued it, so its spans land in that turn's own trace.
+        ASSERT_NE(turn.Value().trace, nullptr);
+        EXPECT_EQ(CountSpans(*turn.Value().trace, "graph/search"), 1u);
+        EXPECT_EQ(CountSpans(*turn.Value().trace, "encoder/sim-text"), 1u);
       }
     });
   }
@@ -111,14 +123,13 @@ TEST_F(ServerStressTest, EveryTurnOfEverySessionCompletes) {
 }
 
 TEST_F(ServerStressTest, CrossQueryBatchingCoalescedWork) {
-  // Push 24 concurrent turns through the 4 workers; the batchers must see
-  // every encode and search call (all retrieval traffic flows through
-  // them). Stats are asserted as deltas so the test is self-contained
-  // under ctest's one-process-per-test execution.
-  ASSERT_NE(server_->encode_batcher(), nullptr);
+  // Push 24 concurrent turns through the 4 workers; every one of their
+  // searches must pass the executor's SearchStage, each as its own batch
+  // (the stats keep the batcher's names). Stats are asserted as deltas so
+  // the test is self-contained under ctest's one-process-per-test
+  // execution.
   ASSERT_NE(server_->search_batcher(), nullptr);
-  const BatcherStats encode_before = server_->encode_batcher()->stats();
-  const BatcherStats search_before = server_->search_batcher()->stats();
+  const BatcherStats before = server_->search_batcher()->stats();
 
   std::vector<uint64_t> sessions(kSessions);
   for (size_t s = 0; s < kSessions; ++s) sessions[s] = server_->OpenSession();
@@ -142,30 +153,9 @@ TEST_F(ServerStressTest, CrossQueryBatchingCoalescedWork) {
     EXPECT_TRUE(server_->CloseSession(sessions[s]).ok());
   }
 
-  BatcherStats encode = server_->encode_batcher()->stats();
-  BatcherStats search = server_->search_batcher()->stats();
-  encode.items -= encode_before.items;
-  encode.batches -= encode_before.batches;
-  search.items -= search_before.items;
-  search.batches -= search_before.batches;
-  EXPECT_GE(encode.items, kSessions * kTurns);
-  EXPECT_GE(search.items, kSessions * kTurns);
-  encode.size_flushes -= encode_before.size_flushes;
-  encode.slack_flushes -= encode_before.slack_flushes;
-  encode.drain_flushes -= encode_before.drain_flushes;
-  search.size_flushes -= search_before.size_flushes;
-  search.slack_flushes -= search_before.slack_flushes;
-  search.drain_flushes -= search_before.drain_flushes;
-  EXPECT_GT(encode.batches, 0u);
-  EXPECT_GT(search.batches, 0u);
-  // Coalescing never exceeds the configured cap.
-  EXPECT_LE(encode.max_occupancy, server_->encode_batcher()->max_batch());
-  EXPECT_LE(search.max_occupancy, server_->search_batcher()->max_batch());
-  // Every batch accounted exactly one flush trigger.
-  EXPECT_EQ(encode.size_flushes + encode.slack_flushes + encode.drain_flushes,
-            encode.batches);
-  EXPECT_EQ(search.size_flushes + search.slack_flushes + search.drain_flushes,
-            search.batches);
+  const BatcherStats after = server_->search_batcher()->stats();
+  EXPECT_EQ(after.batches - before.batches, kSessions * kTurns);
+  EXPECT_EQ(after.items - before.items, kSessions * kTurns);
 }
 
 TEST_F(ServerStressTest, SubmitToUnknownSessionIsNotFound) {

@@ -196,12 +196,12 @@ class LockOrderAuditTest(unittest.TestCase):
 
 class ServingLockHierarchyTest(unittest.TestCase):
     """Models the serving front end's lock hierarchy (see DESIGN.md
-    "Serving & batching"): Server::mu_ (session map) is released before a
-    turn runs, the worker then holds ServerSession::mu for the whole turn
-    and acquires Batcher::mu_ strictly inside it. The auditor must accept
-    that order and still catch a batch function reaching back into the
-    session lock (the reversal that would deadlock a flush leader against
-    a parked submitter)."""
+    "Serving"): Server::mu_ (session map) is released before a turn runs,
+    the worker then holds ServerSession::mu for the whole turn and takes
+    the executor's SearchStage::mu_ strictly inside it, around each
+    framework search. The auditor must accept that order and still catch
+    a search reaching back into the session lock (the reversal that would
+    deadlock a searching turn against a worker waiting to search)."""
 
     SERVER_H = """
         #ifndef MQA_SERVER_SERVER_H_
@@ -213,9 +213,9 @@ class ServingLockHierarchyTest(unittest.TestCase):
         };
         class ServerSession {
          private:
-          Mutex mu MQA_ACQUIRED_BEFORE(Batcher::mu_);
+          Mutex mu MQA_ACQUIRED_BEFORE(SearchStage::mu_);
         };
-        class Batcher {
+        class SearchStage {
          private:
           Mutex mu_;
         };
@@ -230,7 +230,7 @@ class ServingLockHierarchyTest(unittest.TestCase):
                 namespace mqa {
                 void Server::RunTurn() {
                   MutexLock turn(&ServerSession::mu);
-                  MutexLock flush(&Batcher::mu_);
+                  MutexLock search(&SearchStage::mu_);
                 }
                 void Server::FindSession() {
                   MutexLock map(&Server::mu_);
@@ -241,17 +241,17 @@ class ServingLockHierarchyTest(unittest.TestCase):
         self.assertGreaterEqual(nedges, 1)
         self.assertEqual(errors, [])
 
-    def test_batch_fn_reaching_into_session_is_a_cycle(self):
+    def test_search_reaching_into_session_is_a_cycle(self):
         errors, _, _ = lint_src({
             "src/server/server.h": self.SERVER_H,
             "src/server/server.cc": """
                 namespace mqa {
                 void Server::RunTurn() {
                   MutexLock turn(&ServerSession::mu);
-                  MutexLock flush(&Batcher::mu_);
+                  MutexLock search(&SearchStage::mu_);
                 }
-                void Server::BadBatchFn() {
-                  MutexLock flush(&Batcher::mu_);
+                void Server::BadSearch() {
+                  MutexLock search(&SearchStage::mu_);
                   MutexLock turn(&ServerSession::mu);
                 }
                 }  // namespace mqa
@@ -259,7 +259,7 @@ class ServingLockHierarchyTest(unittest.TestCase):
         }, lock_order_only=True)
         self.assertEqual(len(errors), 1)
         self.assertIn("[lock-order]", errors[0])
-        self.assertIn("Batcher::mu_", errors[0])
+        self.assertIn("SearchStage::mu_", errors[0])
         self.assertIn("ServerSession::mu", errors[0])
 
 
