@@ -85,7 +85,7 @@ void BM_WeightedMultiPruned(benchmark::State& state) {
 BENCHMARK(BM_WeightedMultiPruned)->Arg(10)->Arg(50)->Arg(150);
 
 // The batched rerank path: one query against N contiguous padded rows
-// (disk-index pivot scans, brute-force chunks). Same per-row kernel as
+// (disk-index pivot scans). Same per-row kernel as
 // BM_WeightedMultiExact plus cross-row prefetch.
 void BM_WeightedMultiExactBatch(benchmark::State& state) {
   const uint32_t n = 1024;

@@ -20,7 +20,12 @@ const char* BreakerStateToString(BreakerState state) {
 }
 
 CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config, Clock* clock)
-    : config_(config), clock_(clock != nullptr ? clock : SystemClock()) {
+    : config_(config),
+      clock_(clock != nullptr ? clock : SystemClock()),
+      to_open_(MetricsRegistry::Global().GetCounter("breaker/to_open")),
+      to_half_open_(
+          MetricsRegistry::Global().GetCounter("breaker/to_half_open")),
+      to_closed_(MetricsRegistry::Global().GetCounter("breaker/to_closed")) {
   config_.failure_threshold = std::max(1, config_.failure_threshold);
   config_.half_open_successes = std::max(1, config_.half_open_successes);
   config_.half_open_max_probes = std::max(1, config_.half_open_max_probes);
@@ -40,13 +45,10 @@ std::function<void()> CircuitBreaker::TransitionLocked(BreakerState next) {
   transitions_.push_back(next);
   // Counter increments are atomic, safe under mu_; the name encodes the
   // destination state so dashboards can see trips vs. recoveries.
-  MetricsRegistry::Global()
-      .GetCounter(std::string("breaker/to_") +
-                  (next == BreakerState::kOpen
-                       ? "open"
-                       : next == BreakerState::kHalfOpen ? "half_open"
-                                                         : "closed"))
-      ->Increment();
+  Counter* const counter = next == BreakerState::kOpen       ? to_open_
+                           : next == BreakerState::kHalfOpen ? to_half_open_
+                                                             : to_closed_;
+  counter->Increment();
   if (!on_transition_) return nullptr;
   auto cb = on_transition_;
   return [cb, next]() { cb(next); };

@@ -12,6 +12,8 @@
 
 namespace mqa {
 
+class Counter;
+
 /// Breaker state machine (classic three-state):
 ///
 ///   closed ──(failure_threshold consecutive failures)──> open
@@ -79,6 +81,11 @@ class CircuitBreaker {
 
   CircuitBreakerConfig config_;
   Clock* clock_;
+  // Transition counters `breaker/to_{open,half_open,closed}`, resolved at
+  // construction.
+  Counter* const to_open_;
+  Counter* const to_half_open_;
+  Counter* const to_closed_;
 
   mutable Mutex mu_;
   BreakerState state_ MQA_GUARDED_BY(mu_) = BreakerState::kClosed;

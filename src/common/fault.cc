@@ -116,18 +116,22 @@ Status FaultInjector::CheckSlow(std::string_view point,
   }
   // Injected misbehaviour is observable: without these, a chaos run's
   // latency spikes and error storms would be invisible to any timing.
-  MetricsRegistry::Global().GetCounter("fault/fires")->Increment();
+  static Counter* const fires =
+      MetricsRegistry::Global().GetCounter("fault/fires");
+  fires->Increment();
   // The latency spike sleeps outside the lock so concurrent fault points
   // (and Arm/Disarm from a driver thread) never serialize behind it.
   if (latency_ms > 0.0) {
-    MetricsRegistry::Global()
-        .GetHistogram("fault/injected_latency_ms")
-        ->Record(latency_ms);
+    static Histogram* const injected_latency_ms =
+        MetricsRegistry::Global().GetHistogram("fault/injected_latency_ms");
+    injected_latency_ms->Record(latency_ms);
     if (clock == nullptr) clock = SystemClock();
     clock->SleepForMillis(latency_ms);
   }
   if (!injected.ok()) {
-    MetricsRegistry::Global().GetCounter("fault/injected_errors")->Increment();
+    static Counter* const injected_errors =
+        MetricsRegistry::Global().GetCounter("fault/injected_errors");
+    injected_errors->Increment();
   }
   return injected;
 }

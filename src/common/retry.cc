@@ -47,13 +47,16 @@ Status Retrier::Run(const std::function<Status()>& op) {
   struct RecordOnExit {
     const RetryStats* stats;
     ~RecordOnExit() {
-      MetricsRegistry& m = MetricsRegistry::Global();
-      m.GetCounter("retry/attempts")
-          ->Increment(static_cast<uint64_t>(stats->attempts));
+      static Counter* const attempts =
+          MetricsRegistry::Global().GetCounter("retry/attempts");
+      attempts->Increment(static_cast<uint64_t>(stats->attempts));
       if (stats->attempts > 1) {
-        m.GetCounter("retry/retries")
-            ->Increment(static_cast<uint64_t>(stats->attempts - 1));
-        m.GetHistogram("retry/backoff_ms")->Record(stats->total_backoff_ms);
+        static Counter* const retries =
+            MetricsRegistry::Global().GetCounter("retry/retries");
+        static Histogram* const backoff_ms =
+            MetricsRegistry::Global().GetHistogram("retry/backoff_ms");
+        retries->Increment(static_cast<uint64_t>(stats->attempts - 1));
+        backoff_ms->Record(stats->total_backoff_ms);
       }
     }
   } record_on_exit{&stats_};

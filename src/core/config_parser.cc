@@ -93,6 +93,7 @@ Result<MqaConfig> ParseMqaConfig(const std::vector<std::string>& lines) {
       config.framework = value;
     } else if (key == "search.k") {
       MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
+      if (v == 0) return Status::InvalidArgument("search.k must be > 0");
       config.search.k = v;
     } else if (key == "search.beam_width") {
       MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));

@@ -210,7 +210,9 @@ Result<AnswerTurn> Coordinator::Ask(const UserQuery& query) {
 
 Result<AnswerTurn> Coordinator::AskWithState(const UserQuery& query,
                                              DialogueState* state) {
-  MetricsRegistry::Global().GetCounter("coordinator/turns")->Increment();
+  static Counter* const turns =
+      MetricsRegistry::Global().GetCounter("coordinator/turns");
+  turns->Increment();
   std::shared_ptr<Trace> trace;
   if (config_.observability.trace_turns) {
     trace = std::make_shared<Trace>("turn", config_.observability.clock);
@@ -227,8 +229,9 @@ Result<AnswerTurn> Coordinator::AskWithState(const UserQuery& query,
   AnswerTurn turn = std::move(result).Value();
   turn.trace = std::move(trace);
   if (turn.degraded) {
-    MetricsRegistry::Global().GetCounter("coordinator/degraded_turns")
-        ->Increment();
+    static Counter* const degraded_turns =
+        MetricsRegistry::Global().GetCounter("coordinator/degraded_turns");
+    degraded_turns->Increment();
   }
   if (turn.trace != nullptr && config_.observability.explain_turns) {
     monitor_.Emit(ComponentStage::kCoordinator,

@@ -122,9 +122,13 @@ Status DagPipeline::Run(DagContext* ctx, bool parallel) {
                             "' threw a non-std exception");
     }
     const double ms = timer.ElapsedMillis();
-    MetricsRegistry::Global().GetHistogram("dag/stage_ms")->Record(ms);
+    static Histogram* const stage_ms =
+        MetricsRegistry::Global().GetHistogram("dag/stage_ms");
+    stage_ms->Record(ms);
     if (!st.ok()) {
-      MetricsRegistry::Global().GetCounter("dag/stage_failures")->Increment();
+      static Counter* const stage_failures =
+          MetricsRegistry::Global().GetCounter("dag/stage_failures");
+      stage_failures->Increment();
     }
     MutexLock lock(&mu);
     reports_.push_back(NodeReport{nodes_[i].name, ms, st});

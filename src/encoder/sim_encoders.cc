@@ -85,7 +85,9 @@ SimTextEncoder::SimTextEncoder(const World* world, SimEncoderConfig config)
 
 Result<Vector> SimTextEncoder::Encode(const Payload& payload) {
   Span span("encoder/sim-text");
-  MetricsRegistry::Global().GetCounter("encoder/encode_calls")->Increment();
+  static Counter* const encode_calls =
+      MetricsRegistry::Global().GetCounter("encoder/encode_calls");
+  encode_calls->Increment();
   // Chaos hook: a GPU-hosted text encoder going down ("encoder/sim-text").
   // The enabled() guard keeps the disarmed fast path allocation-free.
   if (FaultInjector::Global().enabled()) {
@@ -113,7 +115,9 @@ SimFeatureEncoder::SimFeatureEncoder(const World* world,
 
 Result<Vector> SimFeatureEncoder::Encode(const Payload& payload) {
   Span span(ActiveTrace() != nullptr ? "encoder/" + name_ : std::string());
-  MetricsRegistry::Global().GetCounter("encoder/encode_calls")->Increment();
+  static Counter* const encode_calls =
+      MetricsRegistry::Global().GetCounter("encoder/encode_calls");
+  encode_calls->Increment();
   // Chaos hook: e.g. "encoder/sim-image" for the ResNet/CLIP-image slot.
   if (FaultInjector::Global().enabled()) {
     MQA_RETURN_NOT_OK(FaultInjector::Global().Check("encoder/" + name_));

@@ -182,23 +182,9 @@ Result<std::vector<Neighbor>> BruteForceIndex::Search(
   const uint32_t n = dist_->size();
   if (n == 0) return Status::FailedPrecondition("empty index");
   TopK topk(params.k);
-  if (!params.filter && !dist_->PrunesWithBound()) {
-    // Exact linear scan: no per-candidate branch can skip work, so chunked
-    // batches let the computer overlap each row's fetch with the previous
-    // row's arithmetic. Bitwise identical to the per-candidate loop below.
-    constexpr uint32_t kChunk = 256;
-    std::vector<uint32_t> ids(kChunk);
-    std::vector<float> dists(kChunk);
-    for (uint32_t start = 0; start < n; start += kChunk) {
-      const uint32_t count = std::min(kChunk, n - start);
-      for (uint32_t i = 0; i < count; ++i) ids[i] = start + i;
-      dist_->DistanceBatch(query, ids.data(), count, dists.data());
-      if (stats != nullptr) stats->dist_comps += count;
-      for (uint32_t i = 0; i < count; ++i) topk.Push(dists[i], start + i);
-    }
-    return topk.TakeSorted();
-  }
   for (uint32_t i = 0; i < n; ++i) {
+    // The next row's fetch overlaps this row's arithmetic.
+    if (i + 1 < n) dist_->Prefetch(i + 1);
     if (params.filter && !params.filter(i)) continue;
     const float bound = topk.Full() ? topk.WorstDistance()
                                     : std::numeric_limits<float>::max();

@@ -56,11 +56,15 @@ void ContextualQueryRewriter::ObserveTurn(const std::string& user_text) {
 Result<std::string> ContextualQueryRewriter::RewriteChecked(
     const std::string& text) const {
   Span span("llm/rewrite");
-  MetricsRegistry::Global().GetCounter("rewriter/calls")->Increment();
+  static Counter* const calls =
+      MetricsRegistry::Global().GetCounter("rewriter/calls");
+  calls->Increment();
   MQA_RETURN_NOT_OK(FaultInjector::Global().Check("llm/rewrite"));
   std::string out = Rewrite(text);
   if (out != text) {
-    MetricsRegistry::Global().GetCounter("rewriter/rewrites")->Increment();
+    static Counter* const rewrites =
+        MetricsRegistry::Global().GetCounter("rewriter/rewrites");
+    rewrites->Increment();
   }
   return out;
 }

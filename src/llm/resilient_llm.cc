@@ -16,13 +16,16 @@ ResilientLlm::ResilientLlm(std::unique_ptr<LanguageModel> inner,
 
 Result<LlmResponse> ResilientLlm::Complete(const LlmRequest& request) {
   Span span("llm/complete");
-  MetricsRegistry& metrics = MetricsRegistry::Global();
-  metrics.GetCounter("llm/requests")->Increment();
+  static Counter* const requests =
+      MetricsRegistry::Global().GetCounter("llm/requests");
+  requests->Increment();
   // Fail fast while the breaker is open: no retry loop, no backoff — the
   // caller immediately falls back to the extractive answer path.
   Status admitted = breaker_.Admit();
   if (!admitted.ok()) {
-    metrics.GetCounter("llm/breaker_rejections")->Increment();
+    static Counter* const breaker_rejections =
+        MetricsRegistry::Global().GetCounter("llm/breaker_rejections");
+    breaker_rejections->Increment();
     return admitted;
   }
   // One admitted call = one retry loop; the breaker sees its overall
@@ -38,7 +41,11 @@ Result<LlmResponse> ResilientLlm::Complete(const LlmRequest& request) {
     last_stats_ = retrier.stats();
   }
   breaker_.Record(response.ok() ? Status::OK() : response.status());
-  if (!response.ok()) metrics.GetCounter("llm/failures")->Increment();
+  if (!response.ok()) {
+    static Counter* const failures =
+        MetricsRegistry::Global().GetCounter("llm/failures");
+    failures->Increment();
+  }
   return response;
 }
 

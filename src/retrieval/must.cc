@@ -155,13 +155,15 @@ Result<RetrievalResult> MustFramework::Retrieve(const RetrievalQuery& query,
   // and injected latency spikes show up in retrieval timings.
   const int64_t start_micros = clock()->NowMicros();
   const SearchParams effective = WithoutTombstones(params);
-  MQA_ASSIGN_OR_RETURN(
-      result.neighbors,
-      index_->Search(flat.data(), effective, &result.stats));
+  Result<std::vector<Neighbor>> found =
+      index_->Search(flat.data(), effective, &result.stats);
   result.latency_ms =
       static_cast<double>(clock()->NowMicros() - start_micros) / 1e3;
-  // Restore the build-time weights for subsequent callers.
+  // Restore the build-time weights for subsequent callers on every path:
+  // after a failed search too, or the next live insert would link through
+  // this query's weights.
   MQA_RETURN_NOT_OK(ApplyWeights(weights_));
+  MQA_ASSIGN_OR_RETURN(result.neighbors, std::move(found));
   return result;
 }
 

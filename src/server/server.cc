@@ -59,9 +59,9 @@ Server::Server(std::unique_ptr<Coordinator> coordinator,
   const SimdLevel simd = ActiveSimdLevel();
   MQA_LOG(Info) << "server: distance kernels at simd level "
                 << SimdLevelName(simd);
-  MetricsRegistry::Global()
-      .GetGauge("server/simd_level")
-      ->Set(static_cast<double>(static_cast<int>(simd)));
+  Gauge* const simd_level =
+      MetricsRegistry::Global().GetGauge("server/simd_level");
+  simd_level->Set(static_cast<double>(static_cast<int>(simd)));
   QueryExecutor* executor = coordinator_->executor();
   if (executor != nullptr && options_.clock != nullptr) {
     executor->SetClock(options_.clock);

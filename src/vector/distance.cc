@@ -1,6 +1,5 @@
 #include "vector/distance.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/string_util.h"
@@ -59,22 +58,6 @@ float ComputeDistance(Metric metric, const float* a, const float* b,
       return CosineDistance(a, b, dim);
   }
   return L2Sq(a, b, dim);
-}
-
-float L2SqEarlyAbandon(const float* a, const float* b, size_t dim,
-                       float bound, size_t* dims_scanned) {
-  constexpr size_t kBlock = 16;
-  const DistanceKernels& kernels = ActiveKernels();
-  float sum = 0.0f;
-  size_t i = 0;
-  while (i < dim) {
-    const size_t end = std::min(dim, i + kBlock);
-    sum += kernels.l2sq(a + i, b + i, end - i);
-    if (dims_scanned != nullptr) *dims_scanned += end - i;
-    i = end;
-    if (sum > bound) return sum;
-  }
-  return sum;
 }
 
 void NormalizeVector(float* v, size_t dim) {

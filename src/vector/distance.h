@@ -38,14 +38,6 @@ float CosineDistance(const float* a, const float* b, size_t dim);
 float ComputeDistance(Metric metric, const float* a, const float* b,
                       size_t dim);
 
-/// Squared L2 with early abandonment: processes in blocks and returns a
-/// value > `bound` as soon as the running sum exceeds `bound` (the exact
-/// value is then unspecified but still > bound). Used by the incremental
-/// multi-vector scan. `*dims_scanned` (optional) is incremented by the
-/// number of components actually visited.
-float L2SqEarlyAbandon(const float* a, const float* b, size_t dim,
-                       float bound, size_t* dims_scanned);
-
 /// In-place L2 normalization; zero vectors are left unchanged.
 void NormalizeVector(float* v, size_t dim);
 void NormalizeVector(Vector* v);

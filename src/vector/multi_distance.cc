@@ -27,22 +27,13 @@ Result<WeightedMultiDistance> WeightedMultiDistance::Create(
 WeightedMultiDistance::WeightedMultiDistance(VectorSchema schema,
                                              std::vector<float> weights)
     : schema_(std::move(schema)), weights_(std::move(weights)) {
-  offsets_.resize(schema_.num_modalities());
-  size_t off = 0;
-  for (size_t m = 0; m < schema_.num_modalities(); ++m) {
-    offsets_[m] = off;
-    off += schema_.dims[m];
-  }
-  RecomputeScanOrder();
+  BuildScan();
 }
 
 float WeightedMultiDistance::Exact(const float* q, const float* o) const {
-  // One fused dispatch call: the SIMD tiers carry the weighted accumulator
-  // across modality segments in vector registers, with a single horizontal
-  // reduction; the scalar tier reproduces the historical per-modality loop
-  // bit for bit.
-  return ActiveKernels().wl2sq(q, o, offsets_.data(), schema_.dims.data(),
-                               weights_.data(), schema_.num_modalities());
+  return ActiveKernels().wl2sq(q, o, scan_offsets_.data(), scan_dims_.data(),
+                               scan_weights_.data(), scan_weights_.size(),
+                               kNoBound, nullptr);
 }
 
 void WeightedMultiDistance::ExactBatch(const float* q, const float* base,
@@ -64,40 +55,43 @@ void WeightedMultiDistance::ExactBatch(const float* q, const float* base,
 
 float WeightedMultiDistance::Pruned(const float* q, const float* o,
                                     float bound, DistanceStats* stats) const {
-  // Modalities are scanned heaviest-weight first (see RecomputeScanOrder):
-  // the largest contributions accumulate earliest, so the running prefix
-  // crosses the abandon bound as soon as possible.
-  float sum = 0.0f;
-  for (size_t i = 0; i < scan_order_.size(); ++i) {
-    const size_t m = scan_order_[i];
-    const float w = weights_[m];
-    if (w == 0.0f) continue;
-    const size_t dim = schema_.dims[m];
-    sum += w * L2Sq(q + offsets_[m], o + offsets_[m], dim);
-    if (stats != nullptr) stats->dims_scanned += dim;
-    if (sum > bound) {
-      if (stats != nullptr) {
-        // Only count a prune when work was actually skipped.
-        if (i + 1 < scan_order_.size()) {
-          ++stats->pruned_computations;
-        } else {
-          ++stats->full_computations;
-        }
-      }
-      return sum;
+  size_t segments = 0;
+  const float d = ActiveKernels().wl2sq(
+      q, o, scan_offsets_.data(), scan_dims_.data(), scan_weights_.data(),
+      scan_weights_.size(), bound, &segments);
+  if (stats != nullptr) {
+    size_t dims = 0;
+    for (size_t s = 0; s < segments; ++s) dims += scan_dims_[s];
+    stats->dims_scanned += dims;
+    // The kernel returns early only at a boundary between segments, so an
+    // abandoned call always skipped work.
+    if (segments < scan_dims_.size()) {
+      ++stats->pruned_computations;
+    } else {
+      ++stats->full_computations;
     }
   }
-  if (stats != nullptr) ++stats->full_computations;
-  return sum;
+  return d;
 }
 
-void WeightedMultiDistance::RecomputeScanOrder() {
-  scan_order_.resize(schema_.num_modalities());
-  for (size_t m = 0; m < scan_order_.size(); ++m) scan_order_[m] = m;
-  std::stable_sort(scan_order_.begin(), scan_order_.end(),
-                   [this](size_t a, size_t b) {
-                     return weights_[a] > weights_[b];
-                   });
+void WeightedMultiDistance::BuildScan() {
+  // Heaviest weight first: the largest contributions accumulate earliest,
+  // so the running prefix crosses the abandon bound as soon as possible.
+  std::vector<size_t> order;
+  for (size_t m = 0; m < weights_.size(); ++m) {
+    if (weights_[m] != 0.0f) order.push_back(m);
+  }
+  std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
+    return weights_[a] > weights_[b];
+  });
+  scan_offsets_.clear();
+  scan_dims_.clear();
+  scan_weights_.clear();
+  for (size_t m : order) {
+    scan_offsets_.push_back(schema_.OffsetOf(m));
+    scan_dims_.push_back(schema_.dims[m]);
+    scan_weights_.push_back(weights_[m]);
+  }
 }
 
 Status WeightedMultiDistance::SetWeights(std::vector<float> weights) {
@@ -110,7 +104,7 @@ Status WeightedMultiDistance::SetWeights(std::vector<float> weights) {
     }
   }
   weights_ = std::move(weights);
-  RecomputeScanOrder();
+  BuildScan();
   return Status::OK();
 }
 
@@ -130,23 +124,6 @@ Result<Vector> FlattenMultiVector(const VectorSchema& schema,
     off += schema.dims[m];
   }
   return flat;
-}
-
-Status ApplyWeightScaling(const VectorSchema& schema,
-                          const std::vector<float>& weights, float* flat) {
-  if (weights.size() != schema.num_modalities()) {
-    return Status::InvalidArgument("weights size does not match schema");
-  }
-  size_t off = 0;
-  for (size_t m = 0; m < schema.num_modalities(); ++m) {
-    if (weights[m] < 0.0f) {
-      return Status::InvalidArgument("modality weights must be >= 0");
-    }
-    const float s = std::sqrt(weights[m]);
-    for (size_t i = 0; i < schema.dims[m]; ++i) flat[off + i] *= s;
-    off += schema.dims[m];
-  }
-  return Status::OK();
 }
 
 }  // namespace mqa

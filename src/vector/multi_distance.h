@@ -60,9 +60,12 @@ struct DistanceStats {
 ///
 /// with d = squared L2 per modality. Because every term is nonnegative, the
 /// running prefix sum is a lower bound on the final value, which enables
-/// *incremental scanning*: modality blocks are accumulated in order and the
-/// computation is abandoned as soon as the prefix exceeds a caller-supplied
-/// bound (the current top-k worst distance during search).
+/// *incremental scanning*: modality blocks are accumulated heaviest weight
+/// first and the computation is abandoned as soon as the prefix exceeds a
+/// caller-supplied bound (the current top-k worst distance during search).
+/// Both entry points are one call of the fused DistanceKernels::wl2sq over
+/// the same scan (heaviest weight first, zero weights left out), so a
+/// Pruned call that does not abandon returns Exact's value bit for bit.
 class WeightedMultiDistance {
  public:
   /// `weights` must have one nonnegative entry per modality in `schema`.
@@ -83,7 +86,8 @@ class WeightedMultiDistance {
                   float* out) const;
 
   /// Distance with early abandonment at `bound`. Returns a value > bound
-  /// (not necessarily exact) when abandoned. `stats` may be null.
+  /// (a prefix of the exact sum) when abandoned, and Exact's value
+  /// otherwise. `stats` may be null.
   float Pruned(const float* q, const float* o, float bound,
                DistanceStats* stats) const;
 
@@ -97,26 +101,22 @@ class WeightedMultiDistance {
  private:
   WeightedMultiDistance(VectorSchema schema, std::vector<float> weights);
 
-  /// Re-sorts scan_order_ by descending weight.
-  void RecomputeScanOrder();
+  /// Rebuilds the scan arrays from weights_.
+  void BuildScan();
 
   VectorSchema schema_;
   std::vector<float> weights_;
-  std::vector<size_t> offsets_;  // modality start offsets in the flat layout
-  std::vector<size_t> scan_order_;  // modality indices, heaviest first
+  // The kernel's scan, one entry per nonzero-weight modality, heaviest
+  // first: start offset in the flat layout, dims, weight.
+  std::vector<size_t> scan_offsets_;
+  std::vector<uint32_t> scan_dims_;
+  std::vector<float> scan_weights_;
 };
 
 /// Flattens a MultiVector into one contiguous buffer in schema order.
 /// Returns InvalidArgument if dimensions do not match the schema.
 Result<Vector> FlattenMultiVector(const VectorSchema& schema,
                                   const MultiVector& mv);
-
-/// Scales each modality block of a flattened vector by sqrt(w_m), in place.
-/// After this transform, *plain* L2 on the concatenated vectors equals the
-/// weighted multi-vector distance — the trick that lets MUST reuse a
-/// single-vector navigation graph for multi-modal search.
-Status ApplyWeightScaling(const VectorSchema& schema,
-                          const std::vector<float>& weights, float* flat);
 
 }  // namespace mqa
 

@@ -72,13 +72,17 @@ float DotAvx2(const float* a, const float* b, size_t dim) {
 
 /// Weighted multi-segment L2 in one pass: the weighted accumulator stays
 /// in a vector register across segments (one fmadd per segment with the
-/// broadcast weight) and is reduced horizontally exactly once. Scalar
-/// tails of each segment accumulate separately, weighted at the end.
-float WL2SqAvx2(const float* q, const float* o, const size_t* offsets,
-                const uint32_t* dims, const float* weights, size_t num_m) {
+/// broadcast weight) and is reduced horizontally once, plus once per
+/// boundary check when bounded. Scalar tails of each segment accumulate
+/// separately, weighted per segment.
+template <bool kBounded>
+float WL2SqAvx2Scan(const float* q, const float* o, const size_t* offsets,
+                    const uint32_t* dims, const float* weights, size_t num_m,
+                    float bound, size_t* segments) {
   __m256 acc = _mm256_setzero_ps();
   float tail_sum = 0.0f;
-  for (size_t m = 0; m < num_m; ++m) {
+  size_t m = 0;
+  while (m < num_m) {
     const float* a = q + offsets[m];
     const float* b = o + offsets[m];
     const size_t dim = dims[m];
@@ -96,8 +100,27 @@ float WL2SqAvx2(const float* q, const float* o, const size_t* offsets,
       seg_tail += d * d;
     }
     tail_sum += weights[m] * seg_tail;
+    ++m;
+    if (kBounded && m < num_m) {
+      const float running = HorizontalSum256(acc) + tail_sum;
+      if (running > bound) {
+        if (segments != nullptr) *segments = m;
+        return running;
+      }
+    }
   }
+  if (segments != nullptr) *segments = m;
   return HorizontalSum256(acc) + tail_sum;
+}
+
+float WL2SqAvx2(const float* q, const float* o, const size_t* offsets,
+                const uint32_t* dims, const float* weights, size_t num_m,
+                float bound, size_t* segments) {
+  return bound == kNoBound
+             ? WL2SqAvx2Scan<false>(q, o, offsets, dims, weights, num_m,
+                                    bound, segments)
+             : WL2SqAvx2Scan<true>(q, o, offsets, dims, weights, num_m,
+                                   bound, segments);
 }
 
 }  // namespace

@@ -67,12 +67,16 @@ float DotAvx512(const float* a, const float* b, size_t dim) {
 
 /// Weighted multi-segment L2 in one pass: per-segment vector sums are
 /// folded into a single weighted accumulator register (one fmadd with the
-/// broadcast weight per segment) and reduced horizontally exactly once.
-/// Masked tails keep remainder dims 1..15 in vector registers.
-float WL2SqAvx512(const float* q, const float* o, const size_t* offsets,
-                  const uint32_t* dims, const float* weights, size_t num_m) {
+/// broadcast weight per segment) and reduced horizontally once, plus once
+/// per boundary check when bounded. Masked tails keep remainder dims 1..15
+/// in vector registers.
+template <bool kBounded>
+float WL2SqAvx512Scan(const float* q, const float* o, const size_t* offsets,
+                      const uint32_t* dims, const float* weights,
+                      size_t num_m, float bound, size_t* segments) {
   __m512 acc = _mm512_setzero_ps();
-  for (size_t m = 0; m < num_m; ++m) {
+  size_t m = 0;
+  while (m < num_m) {
     const float* a = q + offsets[m];
     const float* b = o + offsets[m];
     const size_t dim = dims[m];
@@ -90,8 +94,27 @@ float WL2SqAvx512(const float* q, const float* o, const size_t* offsets,
       seg = _mm512_fmadd_ps(d, d, seg);
     }
     acc = _mm512_fmadd_ps(_mm512_set1_ps(weights[m]), seg, acc);
+    ++m;
+    if (kBounded && m < num_m) {
+      const float running = _mm512_reduce_add_ps(acc);
+      if (running > bound) {
+        if (segments != nullptr) *segments = m;
+        return running;
+      }
+    }
   }
+  if (segments != nullptr) *segments = m;
   return _mm512_reduce_add_ps(acc);
+}
+
+float WL2SqAvx512(const float* q, const float* o, const size_t* offsets,
+                  const uint32_t* dims, const float* weights, size_t num_m,
+                  float bound, size_t* segments) {
+  return bound == kNoBound
+             ? WL2SqAvx512Scan<false>(q, o, offsets, dims, weights, num_m,
+                                      bound, segments)
+             : WL2SqAvx512Scan<true>(q, o, offsets, dims, weights, num_m,
+                                     bound, segments);
 }
 
 }  // namespace

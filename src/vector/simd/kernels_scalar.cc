@@ -32,15 +32,20 @@ float L2SqScalar(const float* a, const float* b, size_t dim) {
   return sum;
 }
 
-/// Weighted multi-segment L2. Per-segment L2SqScalar keeps the summation
-/// order bit-identical to the historical per-modality loop in
-/// WeightedMultiDistance::Exact, so scalar-level runs are unchanged.
+/// Weighted multi-segment L2: one L2SqScalar per segment, summed in the
+/// order given. The running sum is a scalar, so the boundary check is one
+/// comparison, and with a bound of +inf it never fires.
 float WL2SqScalar(const float* q, const float* o, const size_t* offsets,
-                  const uint32_t* dims, const float* weights, size_t num_m) {
+                  const uint32_t* dims, const float* weights, size_t num_m,
+                  float bound, size_t* segments) {
   float sum = 0.0f;
-  for (size_t m = 0; m < num_m; ++m) {
+  size_t m = 0;
+  while (m < num_m) {
     sum += weights[m] * L2SqScalar(q + offsets[m], o + offsets[m], dims[m]);
+    ++m;
+    if (m < num_m && sum > bound) break;
   }
+  if (segments != nullptr) *segments = m;
   return sum;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/result.h"
@@ -49,6 +50,10 @@ SimdLevel ActiveSimdLevel();
 /// searches: callers switch tiers at startup or between test cases.
 Status SetSimdLevel(SimdLevel level);
 
+/// The `bound` for which DistanceKernels::wl2sq computes the whole sum; the
+/// SIMD tiers then skip their boundary reductions altogether.
+inline constexpr float kNoBound = std::numeric_limits<float>::infinity();
+
 /// The dispatch table: one function pointer per primitive kernel. Selected
 /// once per process; every hot-path distance goes through exactly one
 /// indirect call (no per-call CPUID, no per-element branching).
@@ -56,12 +61,20 @@ struct DistanceKernels {
   float (*l2sq)(const float* a, const float* b, size_t dim);
   float (*dot)(const float* a, const float* b, size_t dim);
   /// Fused weighted multi-segment L2: sum_m weights[m] *
-  /// L2Sq(q+offsets[m], o+offsets[m], dims[m]) in one pass with a single
-  /// horizontal reduction (the SIMD tiers keep the weighted accumulator in
-  /// vector registers across segments). The workhorse of the weighted
-  /// multi-distance Exact/rerank paths.
+  /// L2Sq(q+offsets[m], o+offsets[m], dims[m]), segments summed in the
+  /// order given, in one pass (the SIMD tiers keep the weighted
+  /// accumulator in vector registers across segments). It returns the
+  /// running sum at the first boundary between segments where that sum
+  /// exceeds `bound` (incremental scanning); with kNoBound it never
+  /// does. A check reads the accumulator without changing it, so a call
+  /// that does not return early returns the kNoBound call's value bit for
+  /// bit, and since running sums only grow, an early return means the
+  /// full sum exceeds `bound` too. `*segments` (when non-null) receives
+  /// the number of segments summed. The only weighted multi-vector
+  /// distance: WeightedMultiDistance::{Exact,Pruned}.
   float (*wl2sq)(const float* q, const float* o, const size_t* offsets,
-                 const uint32_t* dims, const float* weights, size_t num_m);
+                 const uint32_t* dims, const float* weights, size_t num_m,
+                 float bound, size_t* segments);
 };
 
 /// Table for an explicit tier; tiers compiled out of this build (non-x86

@@ -92,23 +92,8 @@ class DistanceComputer {
     return Distance(q, id);
   }
 
-  /// Exact distances from `q` to ids[0..n). out[i] corresponds to ids[i].
-  /// Bitwise identical to n Distance() calls — the batch exists to overlap
-  /// each row's memory fetch with the previous row's arithmetic.
-  virtual void DistanceBatch(const float* q, const uint32_t* ids, size_t n,
-                             float* out) {
-    for (size_t i = 0; i < n; ++i) {
-      if (i + 1 < n) Prefetch(ids[i + 1]);
-      out[i] = Distance(q, ids[i]);
-    }
-  }
-
   /// Hints that row `id` will be scored soon.
   virtual void Prefetch(uint32_t id) { (void)id; }
-
-  /// True when DistanceWithBound can actually return early (pruning);
-  /// callers may pick exact batch paths when false.
-  virtual bool PrunesWithBound() const { return false; }
 
   /// Exact distance between two stored rows (used at build time).
   virtual float DistanceBetween(uint32_t a, uint32_t b) = 0;
@@ -145,7 +130,10 @@ class FlatDistanceComputer : public DistanceComputer {
 };
 
 /// Weighted multi-vector distance with incremental-scanning pruning — the
-/// MUST path. Accumulates DistanceStats for the pruning ablation.
+/// MUST path. Accumulates DistanceStats for the pruning ablation. Every
+/// query distance is one WeightedMultiDistance::Pruned call: with pruning
+/// off, or for Distance, the bound is +inf and the call is exact, so the
+/// distances (and results) are the same with pruning on and off.
 class MultiVectorDistanceComputer : public DistanceComputer {
  public:
   MultiVectorDistanceComputer(const VectorStore* store,
@@ -153,15 +141,12 @@ class MultiVectorDistanceComputer : public DistanceComputer {
       : store_(store), dist_(std::move(dist)), pruning_(enable_pruning) {}
 
   float Distance(const float* q, uint32_t id) override {
-    float d = dist_.Exact(q, store_->data(id));
-    ++stats_.full_computations;
-    stats_.dims_scanned += store_->row_dim();
-    return d;
+    return dist_.Pruned(q, store_->data(id), kNoBound, &stats_);
   }
 
   float DistanceWithBound(const float* q, uint32_t id, float bound) override {
-    if (!pruning_) return Distance(q, id);
-    return dist_.Pruned(q, store_->data(id), bound, &stats_);
+    return dist_.Pruned(q, store_->data(id), pruning_ ? bound : kNoBound,
+                        &stats_);
   }
 
   float DistanceBetween(uint32_t a, uint32_t b) override {
@@ -173,8 +158,6 @@ class MultiVectorDistanceComputer : public DistanceComputer {
     const size_t bytes = store_->row_dim() * sizeof(float);
     for (size_t b = 0; b < bytes; b += kSimdAlignment) PrefetchRead(row + b);
   }
-
-  bool PrunesWithBound() const override { return pruning_; }
 
   size_t dim() const override { return store_->row_dim(); }
   uint32_t size() const override { return store_->size(); }

@@ -134,6 +134,8 @@ TEST(ConfigParserTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseMqaConfigText("corpus_size = banana").ok());
   EXPECT_FALSE(ParseMqaConfigText("temperature = warm").ok());
   EXPECT_FALSE(ParseMqaConfigText("learn_weights = maybe").ok());
+  // k = 0 would parse and then fail every turn with "k must be > 0".
+  EXPECT_FALSE(ParseMqaConfigText("search.k = 0").ok());
 }
 
 TEST(ConfigParserTest, SeedPropagatesToWorld) {

@@ -5,6 +5,7 @@
 
 #include "core/coordinator.h"
 #include "core_test_util.h"
+#include "retrieval/must.h"
 
 namespace mqa {
 namespace {
@@ -35,6 +36,45 @@ TEST(IngestionTest, NewObjectIsRetrievableImmediately) {
     found = found || item.id == *id;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(IngestionTest, FailedSearchLeavesNoQueryWeightsForTheNextInsert) {
+  // MUST installs a query's weights for its search and restores the
+  // build-time weights afterwards. A search that fails must restore them
+  // too: the next live insert links through the same distance.
+  MqaConfig config = SmallConfig();
+  config.corpus_size = 300;
+  auto failed = Coordinator::Create(config);
+  auto clean = Coordinator::Create(config);
+  ASSERT_TRUE(failed.ok() && clean.ok());
+
+  RetrievalQuery query;
+  for (uint32_t dim : (*failed)->store().schema().dims) {
+    query.modalities.parts.push_back(Vector(dim, 0.5f));
+  }
+  query.weights = {2.0f, 0.0f};
+  SearchParams params;
+  params.k = 0;  // the index rejects it after the weights are installed
+  EXPECT_FALSE((*failed)->framework()->Retrieve(query, params).ok());
+
+  Rng rng_failed(7), rng_clean(7);
+  auto id_failed =
+      (*failed)->IngestObject((*failed)->world().MakeObject(3, &rng_failed));
+  auto id_clean =
+      (*clean)->IngestObject((*clean)->world().MakeObject(3, &rng_clean));
+  ASSERT_TRUE(id_failed.ok() && id_clean.ok());
+  ASSERT_EQ(*id_failed, *id_clean);
+  const auto* must_failed =
+      dynamic_cast<const MustFramework*>((*failed)->framework_const());
+  const auto* must_clean =
+      dynamic_cast<const MustFramework*>((*clean)->framework_const());
+  ASSERT_NE(must_failed, nullptr);
+  ASSERT_NE(must_clean, nullptr);
+  ASSERT_NE(must_failed->flat_graph_index(), nullptr);
+  ASSERT_NE(must_clean->flat_graph_index(), nullptr);
+  const auto id = static_cast<uint32_t>(*id_clean);
+  EXPECT_EQ(must_failed->flat_graph_index()->graph().neighbors(id),
+            must_clean->flat_graph_index()->graph().neighbors(id));
 }
 
 TEST(IngestionTest, ManyIngestionsKeepSystemHealthy) {

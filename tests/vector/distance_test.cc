@@ -86,29 +86,6 @@ TEST(DistanceTest, MetricStringRoundTrip) {
   }
 }
 
-TEST(DistanceTest, EarlyAbandonMatchesExactWhenUnderBound) {
-  Rng rng(3);
-  std::vector<float> a(64), b(64);
-  for (size_t i = 0; i < 64; ++i) {
-    a[i] = static_cast<float>(rng.Gaussian());
-    b[i] = static_cast<float>(rng.Gaussian());
-  }
-  const float exact = L2Sq(a.data(), b.data(), 64);
-  size_t scanned = 0;
-  const float pruned =
-      L2SqEarlyAbandon(a.data(), b.data(), 64, exact + 1.0f, &scanned);
-  EXPECT_FLOAT_EQ(pruned, exact);
-  EXPECT_EQ(scanned, 64u);
-}
-
-TEST(DistanceTest, EarlyAbandonStopsEarlyOnTightBound) {
-  std::vector<float> a(128, 0.0f), b(128, 1.0f);  // distance = 128
-  size_t scanned = 0;
-  const float d = L2SqEarlyAbandon(a.data(), b.data(), 128, 10.0f, &scanned);
-  EXPECT_GT(d, 10.0f);
-  EXPECT_LT(scanned, 128u);  // abandoned before the end
-}
-
 TEST(DistanceTest, NormalizeVectorMakesUnitNorm) {
   Vector v = {3, 4};
   NormalizeVector(&v);
@@ -121,34 +98,6 @@ TEST(DistanceTest, NormalizeZeroVectorIsNoop) {
   NormalizeVector(&v);
   EXPECT_EQ(v, (Vector{0, 0, 0}));
 }
-
-// Property sweep: pruned distance never underestimates and agrees with the
-// exact kernel whenever it completes.
-class EarlyAbandonSweep : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(EarlyAbandonSweep, NeverUnderestimates) {
-  const size_t dim = GetParam();
-  Rng rng(dim * 7919);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<float> a(dim), b(dim);
-    for (size_t i = 0; i < dim; ++i) {
-      a[i] = static_cast<float>(rng.Gaussian());
-      b[i] = static_cast<float>(rng.Gaussian());
-    }
-    const float exact = L2Sq(a.data(), b.data(), dim);
-    const float bound = static_cast<float>(rng.UniformDouble() * 2 * dim);
-    const float pruned =
-        L2SqEarlyAbandon(a.data(), b.data(), dim, bound, nullptr);
-    if (exact <= bound) {
-      EXPECT_NEAR(pruned, exact, 1e-3) << "dim=" << dim;
-    } else {
-      EXPECT_GT(pruned, bound) << "dim=" << dim;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Dims, EarlyAbandonSweep,
-                         ::testing::Values(1, 3, 16, 17, 32, 64, 100, 256));
 
 }  // namespace
 }  // namespace mqa

@@ -48,6 +48,14 @@ Enforced rules (over src/):
               one slow caller. CondVar::Wait is exempt (it releases the
               mutex while blocked). Escape hatch:
               NOLINT(mqa-wait-while-locked) with a reason.
+  metric-lookup
+              no per-event metric lookup: a Get{Counter,Gauge,Histogram}
+              call with a string-literal name whose result is dereferenced
+              with `->` in the same expression (on the same line or the
+              next one) probes the registry's map under its lock on every
+              event. Resolve the metric once, into a `static Counter*
+              const` or a member, and use the pointer. Escape hatch:
+              NOLINT(mqa-metric-lookup) with a reason.
 
 Lock-order audit (over src/, runs with the rules above):
   Builds the process-wide lock graph from two sources —
@@ -121,6 +129,14 @@ LOCK_DECL_RE = re.compile(
 BLOCKING_RE = re.compile(
     r"\bSleepFor(Micros|Millis)\s*\(|\bParallelFor\s*\("
     r"|\bFaultInjector::Global\(\)\.Check\s*\(")
+
+# metric-lookup: a literal-named registry lookup dereferenced in the same
+# expression. Literals are already blanked to "" by
+# strip_comments_and_strings.
+METRIC_LOOKUP = (r'\bGet(?:Counter|Gauge|Histogram)\s*\('
+                 r'\s*""\s*(?:,[^;]*)?\)\s*')
+METRIC_LOOKUP_DEREF_RE = re.compile(METRIC_LOOKUP + r"->")
+METRIC_LOOKUP_AT_END_RE = re.compile(METRIC_LOOKUP + r"$")
 
 # MQA_ACQUIRED_BEFORE/AFTER on a mutex member declaration:
 #   Mutex mu_ MQA_ACQUIRED_BEFORE(cache_mu_);
@@ -415,6 +431,22 @@ def lint_file(root, path, errors, graph):
                     "table (vector/simd/simd.h) so call sites stay portable, "
                     "or mark NOLINT(mqa-raw-intrinsics) with a reason"
                     % (rel, i))
+
+        if not has_nolint:
+            if METRIC_LOOKUP_DEREF_RE.search(code):
+                lookup_line = i
+            elif (stripped.startswith("->")
+                  and METRIC_LOOKUP_AT_END_RE.search(prev_code)):
+                lookup_line = i - 1
+            else:
+                lookup_line = None
+            if lookup_line is not None:
+                errors.append(
+                    "%s:%d: [metric-lookup] metric looked up by name on "
+                    "every event; resolve it once into a `static Counter* "
+                    "const` or a member, or mark "
+                    "NOLINT(mqa-metric-lookup) with a reason"
+                    % (rel, lookup_line))
 
         if (RAW_MUTEX_RE.search(code) and not has_nolint
                 and not is_sync_header(rel)):

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Unit tests for tools/lint.py: the lock-order auditor (cycle detection
 on synthetic trees, annotation + nested-scope edges, scope retirement),
-the raw-mutex and wait-while-locked rules with their NOLINT escapes, and
-compile_commands.json auto-discovery. Runs as ctest `tools_lint_test`."""
+the raw-mutex, wait-while-locked and metric-lookup rules with their
+NOLINT escapes, and compile_commands.json auto-discovery. Runs as ctest
+`tools_lint_test`."""
 
 import os
 import sys
@@ -572,6 +573,81 @@ class RawIntrinsicsRuleTest(unittest.TestCase):
         })
         self.assertEqual(
             [e for e in errors if "[raw-intrinsics]" in e], [])
+
+
+class MetricLookupRuleTest(unittest.TestCase):
+    @staticmethod
+    def flagged(errors):
+        return [e.replace(os.sep, "/") for e in errors
+                if "[metric-lookup]" in e]
+
+    def test_flags_lookup_dereferenced_on_the_same_line(self):
+        errors, _, _ = lint_src({
+            "src/llm/rewriter.cc": """
+                namespace mqa {
+                void Rewrite() {
+                  Registry().GetCounter("rewriter/calls")->Increment();
+                  Registry().GetHistogram("x/ms", Bounds())->Record(1);
+                }
+                }  // namespace mqa
+            """,
+        })
+        flagged = self.flagged(errors)
+        self.assertEqual(len(flagged), 2)
+        self.assertIn("src/llm/rewriter.cc:4", flagged[0])
+        self.assertIn("src/llm/rewriter.cc:5", flagged[1])
+
+    def test_flags_dereference_on_the_next_line(self):
+        errors, _, _ = lint_src({
+            "src/server/server.cc": """
+                namespace mqa {
+                void Start() {
+                  MetricsRegistry::Global()
+                      .GetGauge("server/simd_level")
+                      ->Set(2.0);
+                }
+                }  // namespace mqa
+            """,
+        })
+        flagged = self.flagged(errors)
+        self.assertEqual(len(flagged), 1)
+        self.assertIn("src/server/server.cc:5", flagged[0])
+
+    def test_resolved_once_is_fine(self):
+        errors, _, _ = lint_src({
+            "src/graph/search.cc": """
+                namespace mqa {
+                Server::Server()
+                    : failed_(Registry().GetCounter("server/failed")) {
+                  fw->hedges_ = metrics.GetCounter("shard/hedges");
+                }
+                void Search() {
+                  static Counter* const searches =
+                      MetricsRegistry::Global().GetCounter("graph/searches");
+                  searches->Increment();
+                  Gauge* const level = registry.GetGauge("server/level");
+                  level->Set(1.0);
+                }
+                }  // namespace mqa
+            """,
+        })
+        self.assertEqual(self.flagged(errors), [])
+
+    def test_nolint_escape(self):
+        errors, _, _ = lint_src({
+            "src/server/server.cc": """
+                namespace mqa {
+                void Start() {
+                  // NOLINT(mqa-metric-lookup): once per server
+                  MetricsRegistry::Global().GetGauge("server/up")->Set(1.0);
+                  MetricsRegistry::Global()
+                      .GetGauge("server/level")  // NOLINT(mqa-metric-lookup)
+                      ->Set(2.0);
+                }
+                }  // namespace mqa
+            """,
+        })
+        self.assertEqual(self.flagged(errors), [])
 
 
 class CompileCommandsDiscoveryTest(unittest.TestCase):
