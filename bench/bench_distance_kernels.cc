@@ -122,7 +122,9 @@ void BM_FlatStoreScan(benchmark::State& state) {
   FlatDistanceComputer dist(&store, Metric::kL2);
   for (auto _ : state) {
     float sum = 0;
-    for (uint32_t i = 0; i < n; ++i) sum += dist.Distance(q.data(), i);
+    for (uint32_t i = 0; i < n; ++i) {
+      sum += dist.Distance(q.data(), i, nullptr);
+    }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * n);

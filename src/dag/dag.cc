@@ -20,7 +20,9 @@ Status DagPipeline::AddNode(const std::string& name,
   }
   if (!fn) return Status::InvalidArgument("node has no body: " + name);
   index_[name] = nodes_.size();
-  nodes_.push_back(Node{name, std::move(deps), std::move(fn)});
+  Histogram* stage_ms =
+      MetricsRegistry::Global().GetHistogram("dag/stage_ms/" + name);
+  nodes_.push_back(Node{name, std::move(deps), std::move(fn), stage_ms});
   return Status::OK();
 }
 
@@ -125,6 +127,7 @@ Status DagPipeline::Run(DagContext* ctx, bool parallel) {
     static Histogram* const stage_ms =
         MetricsRegistry::Global().GetHistogram("dag/stage_ms");
     stage_ms->Record(ms);
+    nodes_[i].stage_ms->Record(ms);
     if (!st.ok()) {
       static Counter* const stage_failures =
           MetricsRegistry::Global().GetCounter("dag/stage_failures");

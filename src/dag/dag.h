@@ -12,6 +12,10 @@
 #include "common/status.h"
 #include "common/sync.h"
 
+namespace mqa {
+class Histogram;
+}  // namespace mqa
+
 namespace mqa::dag {
 
 /// Shared blackboard passed through a pipeline run. Stages publish results
@@ -78,7 +82,9 @@ class DagPipeline {
       : name_(std::move(name)) {}
 
   /// Registers a stage. `deps` are names of stages that must complete
-  /// first. Duplicate names are rejected.
+  /// first. Duplicate names are rejected. Each run of the stage is timed
+  /// into the pooled `dag/stage_ms` histogram and into its own
+  /// `dag/stage_ms/<name>`.
   Status AddNode(const std::string& name, std::vector<std::string> deps,
                  NodeFn fn);
 
@@ -104,6 +110,7 @@ class DagPipeline {
     std::string name;
     std::vector<std::string> deps;
     NodeFn fn;
+    Histogram* stage_ms;  ///< `dag/stage_ms/<name>`, resolved in AddNode
   };
 
   std::string name_;

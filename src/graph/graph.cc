@@ -93,6 +93,9 @@ Result<AdjacencyGraph> AdjacencyGraph::Load(std::istream& in) {
     in.read(reinterpret_cast<char*>(nbrs.data()),
             static_cast<std::streamsize>(deg * sizeof(uint32_t)));
     if (!in) return Status::IoError("truncated adjacency list");
+    for (uint32_t v : nbrs) {
+      if (v >= n) return Status::IoError("neighbor id out of range");
+    }
     graph.SetNeighbors(i, std::move(nbrs));
   }
   return graph;

@@ -61,6 +61,8 @@ class AdjacencyGraph {
   uint64_t MemoryBytes() const { return num_edges() * sizeof(uint32_t); }
 
   Status Save(std::ostream& out) const;
+  /// Restores a graph written by Save(). A truncated blob, or one with a
+  /// degree or a neighbor id out of range, is an IoError.
   static Result<AdjacencyGraph> Load(std::istream& in);
 
  private:

@@ -46,8 +46,9 @@ void HnswIndex::Insert(uint32_t id) {
   }
 
   const float* q = store_->data(id);
+  DistanceTally tally;
   uint32_t cur = entry_point_;
-  float cur_dist = dist_->Distance(q, cur);
+  float cur_dist = dist_->Distance(q, cur, &tally);
 
   // Greedy descent through layers above the insertion level.
   for (int layer = max_level_; layer > level; --layer) {
@@ -55,7 +56,7 @@ void HnswIndex::Insert(uint32_t id) {
     while (improved) {
       improved = false;
       for (uint32_t nbr : links_[cur][layer]) {
-        const float d = dist_->Distance(q, nbr);
+        const float d = dist_->Distance(q, nbr, &tally);
         if (d < cur_dist) {
           cur = nbr;
           cur_dist = d;
@@ -69,7 +70,7 @@ void HnswIndex::Insert(uint32_t id) {
   for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
     std::vector<Neighbor> candidates =
         SearchLayer(q, cur, cur_dist, config_.ef_construction, layer,
-                    nullptr);
+                    nullptr, &tally);
     const uint32_t m_max = layer == 0 ? config_.m * 2 : config_.m;
     std::vector<uint32_t> selected =
         SelectNeighbors(id, candidates, config_.m);
@@ -93,6 +94,7 @@ void HnswIndex::Insert(uint32_t id) {
     }
   }
 
+  dist_->AddTally(tally);
   if (level > max_level_) {
     max_level_ = level;
     entry_point_ = id;
@@ -103,6 +105,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
                                              uint32_t entry, float entry_dist,
                                              size_t ef, int layer,
                                              SearchStats* stats,
+                                             DistanceTally* tally,
                                              const SearchFilter& filter,
                                              size_t k) const {
   std::vector<bool> visited(levels_.size(), false);
@@ -139,7 +142,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
     for (uint32_t nbr : to_score) {
       const float bound = beam.Full() ? beam.WorstDistance()
                                       : std::numeric_limits<float>::max();
-      const float d = dist_->DistanceWithBound(query, nbr, bound);
+      const float d = dist_->DistanceWithBound(query, nbr, bound, tally);
       if (stats != nullptr) ++stats->dist_comps;
       if (d > bound) continue;
       frontier.push({d, nbr});
@@ -191,15 +194,16 @@ Result<std::vector<Neighbor>> HnswIndex::Search(const float* query,
   if (params.k == 0) return Status::InvalidArgument("k must be > 0");
   if (levels_.empty()) return Status::FailedPrecondition("empty index");
 
+  DistanceTally tally;
   uint32_t cur = entry_point_;
-  float cur_dist = dist_->Distance(query, cur);
+  float cur_dist = dist_->Distance(query, cur, &tally);
   if (stats != nullptr) ++stats->dist_comps;
   for (int layer = max_level_; layer > 0; --layer) {
     bool improved = true;
     while (improved) {
       improved = false;
       for (uint32_t nbr : links_[cur][layer]) {
-        const float d = dist_->Distance(query, nbr);
+        const float d = dist_->Distance(query, nbr, &tally);
         if (stats != nullptr) ++stats->dist_comps;
         if (d < cur_dist) {
           cur = nbr;
@@ -212,7 +216,8 @@ Result<std::vector<Neighbor>> HnswIndex::Search(const float* query,
   }
   std::vector<Neighbor> results = SearchLayer(
       query, cur, cur_dist, std::max(params.beam_width, params.k), 0, stats,
-      params.filter, params.k);
+      &tally, params.filter, params.k);
+  dist_->AddTally(tally);
   if (results.size() > params.k) results.resize(params.k);
   return results;
 }
@@ -297,6 +302,26 @@ Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
       in.read(reinterpret_cast<char*>(layer.data()),
               static_cast<std::streamsize>(deg * sizeof(uint32_t)));
       if (!in) return Status::IoError("truncated hnsw links");
+    }
+  }
+  // Search walks links_[node][layer] from the entry point down, so every
+  // id it can reach must be in range and present on the layer it is
+  // linked from.
+  if (n == 0 ? index->max_level_ != -1
+             : index->entry_point_ >= n ||
+                   index->max_level_ != index->levels_[index->entry_point_]) {
+    return Status::IoError("bad hnsw entry point");
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    if (index->levels_[i] > index->max_level_) {
+      return Status::IoError("hnsw level above the top layer");
+    }
+    for (size_t layer = 0; layer < index->links_[i].size(); ++layer) {
+      for (uint32_t v : index->links_[i][layer]) {
+        if (v >= n || static_cast<size_t>(index->levels_[v]) < layer) {
+          return Status::IoError("hnsw link out of range");
+        }
+      }
     }
   }
   return index;

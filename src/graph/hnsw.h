@@ -56,7 +56,9 @@ class HnswIndex : public VectorIndex {
   /// vectors stay in the VectorStore.
   Status Save(std::ostream& out) const;
 
-  /// Restores an index saved with Save() over the matching store.
+  /// Restores an index saved with Save() over the matching store. A blob
+  /// whose links, entry point or levels could send a search out of range
+  /// is an IoError.
   static Result<std::unique_ptr<HnswIndex>> Load(
       std::istream& in, const HnswConfig& config, const VectorStore* store,
       std::unique_ptr<DistanceComputer> dist);
@@ -71,10 +73,11 @@ class HnswIndex : public VectorIndex {
 
   /// Beam search restricted to one layer; returns up to `ef` closest,
   /// ascending. With a filter, only admitted ids are returned (the beam
-  /// still navigates over everything).
+  /// still navigates over everything). Distances are counted in `tally`,
+  /// the calling search's.
   std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
                                     float entry_dist, size_t ef, int layer,
-                                    SearchStats* stats,
+                                    SearchStats* stats, DistanceTally* tally,
                                     const SearchFilter& filter = nullptr,
                                     size_t k = 0) const;
 

@@ -1,8 +1,11 @@
 #include "graph/nn_descent.h"
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
 
-#include "common/topk.h"
+#include "common/sync.h"
+#include "common/thread_pool.h"
 
 namespace mqa {
 
@@ -20,17 +23,39 @@ bool EntryLess(const Entry& a, const Entry& b) {
   return a.id < b.id;
 }
 
-/// Sorted bounded insert; returns true when the entry was added.
-bool Insert(std::vector<Entry>* list, uint32_t cap, float distance,
-            uint32_t id) {
-  if (list->size() >= cap && distance >= list->back().distance) return false;
-  for (const Entry& e : *list) {
+/// One node's candidate list, written by whichever join threads find
+/// candidates for it. `worst` mirrors the last kept distance once the list
+/// is full (+inf before). It only falls, so a stale relaxed read is too
+/// high and at worst lets an extra candidate through to the locked check.
+struct NodeList {
+  Mutex mu;
+  std::atomic<float> worst{std::numeric_limits<float>::infinity()};
+  std::vector<Entry> entries MQA_GUARDED_BY(mu);
+};
+
+/// Bounded insert that keeps the `cap` smallest entries under EntryLess.
+/// Rejecting by that total order (not by distance alone) makes each list
+/// the top-k of every candidate ever offered to it, whatever the order of
+/// the offers, so concurrent joins build exactly the lists of a serial
+/// pass. Returns true when the entry was added.
+bool Insert(NodeList* list, uint32_t cap, float distance, uint32_t id) {
+  if (distance > list->worst.load(std::memory_order_relaxed)) return false;
+  MutexLock lock(&list->mu);
+  std::vector<Entry>& entries = list->entries;
+  const Entry entry{distance, id, true};
+  if (entries.size() >= cap && !EntryLess(entry, entries.back())) {
+    return false;
+  }
+  for (const Entry& e : entries) {
     if (e.id == id) return false;
   }
-  Entry entry{distance, id, true};
-  auto pos = std::lower_bound(list->begin(), list->end(), entry, EntryLess);
-  list->insert(pos, entry);
-  if (list->size() > cap) list->pop_back();
+  entries.insert(std::lower_bound(entries.begin(), entries.end(), entry,
+                                  EntryLess),
+                 entry);
+  if (entries.size() > cap) entries.pop_back();
+  if (entries.size() == cap) {
+    list->worst.store(entries.back().distance, std::memory_order_relaxed);
+  }
   return true;
 }
 
@@ -46,16 +71,32 @@ Result<AdjacencyGraph> BuildNNDescentGraph(DistanceComputer* dist, uint32_t k,
     // Single-element store: a graph with one isolated node.
     return AdjacencyGraph(1);
   }
+  ThreadPool& pool = DefaultThreadPool();
 
-  std::vector<std::vector<Entry>> lists(n);
+  // Random init: the draws come from `rng` in node order, the distances
+  // are computed on the pool.
+  std::vector<uint32_t> init(static_cast<size_t>(n) * k);
   for (uint32_t u = 0; u < n; ++u) {
-    lists[u].reserve(k + 1);
     for (uint32_t t = 0; t < k; ++t) {
       uint32_t v = static_cast<uint32_t>(rng->NextUint64(n - 1));
       if (v >= u) ++v;  // exclude self
-      Insert(&lists[u], k, dist->DistanceBetween(u, v), v);
+      init[static_cast<size_t>(u) * k + t] = v;
     }
   }
+  // Sized here, on the calling thread, so the lists never reallocate in
+  // (and leave freed blocks behind in) the workers' malloc arenas.
+  std::vector<NodeList> lists(n);
+  for (NodeList& list : lists) {
+    MutexLock lock(&list.mu);
+    list.entries.reserve(k + 1);
+  }
+  pool.ParallelFor(n, [&](size_t u) {
+    for (uint32_t t = 0; t < k; ++t) {
+      const uint32_t v = init[u * k + t];
+      const float d = dist->DistanceBetween(static_cast<uint32_t>(u), v);
+      Insert(&lists[u], k, d, v);
+    }
+  });
 
   // Sampled reverse-neighbor cap per node per round.
   const size_t reverse_cap = k;
@@ -64,7 +105,9 @@ Result<AdjacencyGraph> BuildNNDescentGraph(DistanceComputer* dist, uint32_t k,
     // Snapshot new/old partitions, then clear the new flags.
     std::vector<std::vector<uint32_t>> new_nbrs(n), old_nbrs(n);
     for (uint32_t u = 0; u < n; ++u) {
-      for (Entry& e : lists[u]) {
+      NodeList& list = lists[u];
+      MutexLock lock(&list.mu);
+      for (Entry& e : list.entries) {
         (e.is_new ? new_nbrs[u] : old_nbrs[u]).push_back(e.id);
         e.is_new = false;
       }
@@ -80,41 +123,43 @@ Result<AdjacencyGraph> BuildNNDescentGraph(DistanceComputer* dist, uint32_t k,
       }
     }
 
-    uint64_t updates = 0;
-    std::vector<uint32_t> pool_new, pool_old;
-    for (uint32_t u = 0; u < n; ++u) {
-      pool_new = new_nbrs[u];
+    // Local joins, in parallel over the nodes whose pools are joined. The
+    // pools are the snapshot above, so every round evaluates the same
+    // pairs as a serial pass, and Insert keeps each list order-independent.
+    std::atomic<uint64_t> updates{0};
+    pool.ParallelFor(n, [&](size_t u) {
+      std::vector<uint32_t> pool_new = new_nbrs[u];
       pool_new.insert(pool_new.end(), rev_new[u].begin(), rev_new[u].end());
-      pool_old = old_nbrs[u];
+      std::vector<uint32_t> pool_old = old_nbrs[u];
       pool_old.insert(pool_old.end(), rev_old[u].begin(), rev_old[u].end());
 
       // new x new and new x old joins: candidates become neighbors of each
       // other when close enough.
+      uint64_t local = 0;
+      auto join = [&](uint32_t a, uint32_t b) {
+        if (a == b) return;
+        const float d = dist->DistanceBetween(a, b);
+        if (Insert(&lists[a], k, d, b)) ++local;
+        if (Insert(&lists[b], k, d, a)) ++local;
+      };
       for (size_t i = 0; i < pool_new.size(); ++i) {
-        const uint32_t a = pool_new[i];
         for (size_t j = i + 1; j < pool_new.size(); ++j) {
-          const uint32_t b = pool_new[j];
-          if (a == b) continue;
-          const float d = dist->DistanceBetween(a, b);
-          if (Insert(&lists[a], k, d, b)) ++updates;
-          if (Insert(&lists[b], k, d, a)) ++updates;
+          join(pool_new[i], pool_new[j]);
         }
-        for (uint32_t b : pool_old) {
-          if (a == b) continue;
-          const float d = dist->DistanceBetween(a, b);
-          if (Insert(&lists[a], k, d, b)) ++updates;
-          if (Insert(&lists[b], k, d, a)) ++updates;
-        }
+        for (uint32_t b : pool_old) join(pool_new[i], b);
       }
-    }
-    if (updates == 0) break;
+      if (local > 0) updates.fetch_add(local, std::memory_order_relaxed);
+    });
+    if (updates.load(std::memory_order_relaxed) == 0) break;
   }
 
   AdjacencyGraph graph(n);
   for (uint32_t u = 0; u < n; ++u) {
+    NodeList& list = lists[u];
+    MutexLock lock(&list.mu);
     std::vector<uint32_t> nbrs;
-    nbrs.reserve(lists[u].size());
-    for (const Entry& e : lists[u]) nbrs.push_back(e.id);
+    nbrs.reserve(list.entries.size());
+    for (const Entry& e : list.entries) nbrs.push_back(e.id);
     graph.SetNeighbors(u, std::move(nbrs));
   }
   return graph;

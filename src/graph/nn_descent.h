@@ -18,6 +18,13 @@ namespace mqa {
 ///
 /// `k` is the neighbor-list size; `iters` bounds the improvement rounds
 /// (the loop also stops early when an iteration makes no updates).
+///
+/// The init distances and each round's joins run on DefaultThreadPool()
+/// (so `dist->DistanceBetween` is called from several threads at once, and
+/// this must not be called from a task on that pool). Each list keeps the
+/// top-k of its candidates under (distance, id), which does not depend on
+/// the order the joins offer them in, so the graph is the same for every
+/// pool size and equal to a serial pass's.
 Result<AdjacencyGraph> BuildNNDescentGraph(DistanceComputer* dist, uint32_t k,
                                            uint32_t iters, Rng* rng);
 

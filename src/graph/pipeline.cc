@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <queue>
 #include <unordered_set>
+#include <utility>
 
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/tombstones.h"
 #include "graph/nn_descent.h"
@@ -79,43 +81,84 @@ Status StageTruncate(dag::DagContext* ctx) {
   return Status::OK();
 }
 
+/// Largest refinement batch. Batch sizes double from 1 up to this cap, so
+/// the schedule depends on n alone; the cap bounds how many nodes refine
+/// against a graph that does not yet hold each other's new edges.
+constexpr size_t kMaxRefineBatch = 64;
+
 /// Candidate acquisition + neighbor selection, fused per vertex as in the
 /// reference implementations: search the graph for each vertex's own
 /// vector, pool the evaluated vertices with the current neighbors, run
-/// RobustPrune, then insert pruned reverse edges.
+/// RobustPrune, then insert pruned reverse edges. Vertices are taken in a
+/// random permutation, in batches (the batch insertion of ParlayANN): the
+/// searches and prunes of one batch run on the thread pool against the
+/// graph as it stood at the batch start, the new lists are committed in
+/// permutation order, and each reverse-edge target takes its batch's edges
+/// in batch order and is pruned once, in parallel over targets. The graph
+/// is fixed by the seed and the batch schedule, whatever the pool size.
 Status StageRefine(dag::DagContext* ctx, float alpha) {
   MQA_ASSIGN_OR_RETURN(BuildState * s, GetState(ctx));
   const uint32_t n = s->graph.num_nodes();
   const uint32_t r = s->config.max_degree;
   const std::vector<uint32_t> order = s->rng.Permutation(n);
-  std::vector<Neighbor> evaluated;
-  for (uint32_t u : order) {
-    evaluated.clear();
-    BeamSearch(s->graph, s->dist, s->store->data(u), {s->medoid},
-               /*k=*/1, s->config.build_beam, nullptr, &evaluated);
-    for (uint32_t v : s->graph.neighbors(u)) {
-      evaluated.push_back({s->dist->DistanceBetween(u, v), v});
+  ThreadPool& pool = DefaultThreadPool();
+  std::vector<std::vector<uint32_t>> selected;
+  std::vector<std::pair<uint32_t, uint32_t>> backlinks;  // (target, source)
+  std::vector<size_t> group_starts;
+  size_t batch = 1;
+  for (size_t begin = 0; begin < n;
+       begin += batch, batch = std::min(2 * batch, kMaxRefineBatch)) {
+    const size_t size = std::min<size_t>(batch, n - begin);
+    selected.assign(size, {});
+    pool.ParallelFor(size, [&](size_t i) {
+      const uint32_t u = order[begin + i];
+      std::vector<Neighbor> evaluated;
+      BeamSearch(s->graph, s->dist, s->store->data(u), {s->medoid},
+                 /*k=*/1, s->config.build_beam, nullptr, &evaluated);
+      for (uint32_t v : s->graph.neighbors(u)) {
+        evaluated.push_back({s->dist->DistanceBetween(u, v), v});
+      }
+      selected[i] = RobustPrune(u, std::move(evaluated), alpha, r, s->dist);
+    });
+
+    backlinks.clear();
+    for (size_t i = 0; i < size; ++i) {
+      const uint32_t u = order[begin + i];
+      for (uint32_t v : selected[i]) backlinks.emplace_back(v, u);
+      s->graph.SetNeighbors(u, std::move(selected[i]));
     }
-    std::vector<uint32_t> selected =
-        RobustPrune(u, std::move(evaluated), alpha, r, s->dist);
-    s->graph.SetNeighbors(u, selected);
-    // Reverse edges, pruning on overflow.
-    for (uint32_t v : selected) {
-      auto* vn = s->graph.mutable_neighbors(v);
-      if (std::find(vn->begin(), vn->end(), u) != vn->end()) continue;
-      vn->push_back(u);
-      if (vn->size() > r) {
-        std::vector<Neighbor> pool;
-        pool.reserve(vn->size());
-        for (uint32_t w : *vn) {
-          pool.push_back({s->dist->DistanceBetween(v, w), w});
-        }
-        s->graph.SetNeighbors(v,
-                              RobustPrune(v, std::move(pool), alpha, r,
-                                          s->dist));
+    std::stable_sort(backlinks.begin(), backlinks.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    group_starts.clear();
+    for (size_t e = 0; e < backlinks.size(); ++e) {
+      if (e == 0 || backlinks[e].first != backlinks[e - 1].first) {
+        group_starts.push_back(e);
       }
     }
-    evaluated.clear();
+    // Reverse edges, pruning on overflow. Each task owns one target's list.
+    pool.ParallelFor(group_starts.size(), [&](size_t g) {
+      const size_t first = group_starts[g];
+      const size_t last = g + 1 < group_starts.size() ? group_starts[g + 1]
+                                                      : backlinks.size();
+      const uint32_t v = backlinks[first].first;
+      std::vector<uint32_t>* vn = s->graph.mutable_neighbors(v);
+      for (size_t e = first; e < last; ++e) {
+        const uint32_t u = backlinks[e].second;
+        if (std::find(vn->begin(), vn->end(), u) == vn->end()) {
+          vn->push_back(u);
+        }
+      }
+      if (vn->size() > r) {
+        std::vector<Neighbor> candidates;
+        candidates.reserve(vn->size());
+        for (uint32_t w : *vn) {
+          candidates.push_back({s->dist->DistanceBetween(v, w), w});
+        }
+        *vn = RobustPrune(v, std::move(candidates), alpha, r, s->dist);
+      }
+    });
   }
   return Status::OK();
 }
@@ -283,7 +326,9 @@ Result<std::unique_ptr<GraphIndex>> BuildGraphIndex(
   MQA_RETURN_NOT_OK(ctx.Contains(kStateKey)
                         ? Status::OK()
                         : Status::Internal("missing build state"));
-  // The stage chain is linear; run sequentially for determinism.
+  // The stage chain is linear, so it runs on this thread; the expensive
+  // stages fan out on DefaultThreadPool() themselves (a stage running as a
+  // pool task could not: ParallelFor must not be entered from the pool).
   MQA_RETURN_NOT_OK(pipeline.Run(&ctx, /*parallel=*/false));
   const double total = timer.ElapsedSeconds();
 

@@ -58,6 +58,13 @@ std::vector<uint32_t> RobustPrune(uint32_t node,
 /// Runs the construction pipeline and returns a searchable index. The
 /// distance computer is consumed (the index owns it afterwards). `store`
 /// must outlive the index. `report` (optional) receives stage timings.
+///
+/// NN-Descent initialization and refinement run on DefaultThreadPool(), so
+/// the computer's Distance and DistanceBetween are called from several
+/// threads at once, and this must not be called from a task running on
+/// that pool (ThreadPool::ParallelFor would wait on the slot it holds). The
+/// result is a function of the config and the store alone: the same for
+/// every pool size, and for builds racing each other.
 Result<std::unique_ptr<GraphIndex>> BuildGraphIndex(
     const GraphBuildConfig& config, const VectorStore* store,
     std::unique_ptr<DistanceComputer> dist, BuildReport* report = nullptr);

@@ -35,6 +35,7 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
   // admissible results are collected separately.
   TopK beam(beam_width);
   TopK admitted(k);
+  DistanceTally tally;
 
   auto offer = [&](float d, uint32_t id) {
     frontier.push({d, id});
@@ -45,7 +46,7 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
   for (uint32_t e : entries) {
     if (e >= n || visited[e]) continue;
     visited[e] = true;
-    const float d = dist->Distance(query, e);
+    const float d = dist->Distance(query, e, &tally);
     if (stats != nullptr) ++stats->dist_comps;
     if (evaluated != nullptr) evaluated->push_back({d, e});
     offer(d, e);
@@ -74,13 +75,14 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
     for (uint32_t nbr : to_score) {
       const float bound = beam.Full() ? beam.WorstDistance()
                                       : std::numeric_limits<float>::max();
-      const float d = dist->DistanceWithBound(query, nbr, bound);
+      const float d = dist->DistanceWithBound(query, nbr, bound, &tally);
       if (stats != nullptr) ++stats->dist_comps;
       if (d > bound) continue;  // pruned: cannot enter the beam
       if (evaluated != nullptr) evaluated->push_back({d, nbr});
       offer(d, nbr);
     }
   }
+  dist->AddTally(tally);
 
   std::vector<Neighbor> results =
       filter ? admitted.TakeSorted() : beam.TakeSorted();
@@ -168,6 +170,11 @@ Result<std::unique_ptr<GraphIndex>> GraphIndex::Load(
   in.read(reinterpret_cast<char*>(entries.data()),
           num_entries * sizeof(uint32_t));
   if (!in) return Status::IoError("truncated entry points");
+  for (uint32_t e : entries) {
+    if (e >= graph.num_nodes()) {
+      return Status::IoError("entry point out of range");
+    }
+  }
   if (dist != nullptr && dist->size() != graph.num_nodes()) {
     return Status::InvalidArgument(
         "distance computer size does not match the saved graph");
@@ -182,17 +189,19 @@ Result<std::vector<Neighbor>> BruteForceIndex::Search(
   const uint32_t n = dist_->size();
   if (n == 0) return Status::FailedPrecondition("empty index");
   TopK topk(params.k);
+  DistanceTally tally;
   for (uint32_t i = 0; i < n; ++i) {
     // The next row's fetch overlaps this row's arithmetic.
     if (i + 1 < n) dist_->Prefetch(i + 1);
     if (params.filter && !params.filter(i)) continue;
     const float bound = topk.Full() ? topk.WorstDistance()
                                     : std::numeric_limits<float>::max();
-    const float d = dist_->DistanceWithBound(query, i, bound);
+    const float d = dist_->DistanceWithBound(query, i, bound, &tally);
     if (stats != nullptr) ++stats->dist_comps;
     if (d > bound) continue;
     topk.Push(d, i);
   }
+  dist_->AddTally(tally);
   return topk.TakeSorted();
 }
 

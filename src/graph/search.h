@@ -17,7 +17,9 @@ namespace mqa {
 /// Execution" traversal: start at the entry vertices, repeatedly expand the
 /// closest unexpanded vertex, stop when the beam can no longer improve.
 /// Distances go through `dist->DistanceWithBound`, so the incremental
-/// multi-vector scan prunes against the current beam frontier.
+/// multi-vector scan prunes against the current beam frontier; they are
+/// counted in a tally local to the call and added to `dist` once, at the
+/// end (DistanceComputer::AddTally).
 ///
 /// Returns the k best results sorted ascending. When `evaluated` is given,
 /// every (distance, id) actually scored is appended (build-time candidate
@@ -67,7 +69,8 @@ class GraphIndex : public VectorIndex {
   Status Save(std::ostream& out) const;
 
   /// Restores an index saved with Save(). The caller supplies a distance
-  /// computer over the matching vector store.
+  /// computer over the matching vector store. Neighbor or entry ids out of
+  /// range are an IoError.
   static Result<std::unique_ptr<GraphIndex>> Load(
       std::istream& in, std::unique_ptr<DistanceComputer> dist);
 

@@ -54,21 +54,19 @@ void WeightedMultiDistance::ExactBatch(const float* q, const float* base,
 }
 
 float WeightedMultiDistance::Pruned(const float* q, const float* o,
-                                    float bound, DistanceStats* stats) const {
+                                    float bound, DistanceTally* tally) const {
   size_t segments = 0;
   const float d = ActiveKernels().wl2sq(
       q, o, scan_offsets_.data(), scan_dims_.data(), scan_weights_.data(),
       scan_weights_.size(), bound, &segments);
-  if (stats != nullptr) {
-    size_t dims = 0;
-    for (size_t s = 0; s < segments; ++s) dims += scan_dims_[s];
-    stats->dims_scanned += dims;
+  if (tally != nullptr) {
+    for (size_t s = 0; s < segments; ++s) tally->dims_scanned += scan_dims_[s];
     // The kernel returns early only at a boundary between segments, so an
     // abandoned call always skipped work.
     if (segments < scan_dims_.size()) {
-      ++stats->pruned_computations;
+      ++tally->pruned_computations;
     } else {
-      ++stats->full_computations;
+      ++tally->full_computations;
     }
   }
   return d;

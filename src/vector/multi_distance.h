@@ -11,13 +11,21 @@
 
 namespace mqa {
 
+/// Plain counters for the distance calls of one search (or one build-time
+/// search). A search counts into its own tally and adds it to the shared
+/// DistanceStats once, when it finishes, so concurrent searches and build
+/// threads never bounce a counter cache line between cores.
+struct DistanceTally {
+  uint64_t full_computations = 0;
+  uint64_t pruned_computations = 0;
+  uint64_t dims_scanned = 0;
+};
+
 /// Counters for the computational-pruning ablation (MUST-E4). Accumulated by
-/// the incremental multi-vector scan.
-///
-/// The counters are atomic so that concurrent searches sharing one
-/// DistanceComputer (the serving path: many queries, one index) stay
-/// TSan-clean; increments are relaxed, so cross-counter totals read during
-/// a concurrent run are approximate and only exact once searches quiesce.
+/// the incremental multi-vector scan: each search adds its DistanceTally
+/// once (three relaxed atomic adds), so the totals are exact once searches
+/// quiesce, and a total read during a concurrent run lags by the searches
+/// still in flight.
 struct DistanceStats {
   std::atomic<uint64_t> full_computations{0};    ///< computed to completion
   std::atomic<uint64_t> pruned_computations{0};  ///< abandoned early
@@ -32,6 +40,15 @@ struct DistanceStats {
   DistanceStats& operator=(const DistanceStats& other) {
     CopyFrom(other);
     return *this;
+  }
+
+  /// Folds one search's tally in.
+  void Add(const DistanceTally& tally) {
+    full_computations.fetch_add(tally.full_computations,
+                                std::memory_order_relaxed);
+    pruned_computations.fetch_add(tally.pruned_computations,
+                                  std::memory_order_relaxed);
+    dims_scanned.fetch_add(tally.dims_scanned, std::memory_order_relaxed);
   }
 
   void Reset() {
@@ -87,9 +104,9 @@ class WeightedMultiDistance {
 
   /// Distance with early abandonment at `bound`. Returns a value > bound
   /// (a prefix of the exact sum) when abandoned, and Exact's value
-  /// otherwise. `stats` may be null.
+  /// otherwise. The call is counted in `tally`, which may be null.
   float Pruned(const float* q, const float* o, float bound,
-               DistanceStats* stats) const;
+               DistanceTally* tally) const;
 
   const VectorSchema& schema() const { return schema_; }
   const std::vector<float>& weights() const { return weights_; }

@@ -77,25 +77,34 @@ class VectorStore {
 
 /// Query-to-stored-vector distance abstraction used by all graph searches.
 /// Implementations may prune with a bound and may accumulate statistics, so
-/// the methods are non-const.
+/// the methods are non-const. Query distances are counted in the calling
+/// search's own DistanceTally (null = not counted); the search hands the
+/// finished tally to AddTally once, so a shared computer is written once
+/// per search, not once per distance.
 class DistanceComputer {
  public:
   virtual ~DistanceComputer() = default;
 
   /// Exact distance from query `q` (flattened, row_dim floats) to row `id`.
-  virtual float Distance(const float* q, uint32_t id) = 0;
+  virtual float Distance(const float* q, uint32_t id,
+                         DistanceTally* tally) = 0;
 
   /// Distance with an early-abandon bound. May return any value > bound
   /// when the true distance exceeds `bound`.
-  virtual float DistanceWithBound(const float* q, uint32_t id, float bound) {
+  virtual float DistanceWithBound(const float* q, uint32_t id, float bound,
+                                  DistanceTally* tally) {
     (void)bound;
-    return Distance(q, id);
+    return Distance(q, id, tally);
   }
+
+  /// Adds one finished search's tally to the running statistics.
+  virtual void AddTally(const DistanceTally& tally) { (void)tally; }
 
   /// Hints that row `id` will be scored soon.
   virtual void Prefetch(uint32_t id) { (void)id; }
 
-  /// Exact distance between two stored rows (used at build time).
+  /// Exact distance between two stored rows (used at build time; not
+  /// counted).
   virtual float DistanceBetween(uint32_t a, uint32_t b) = 0;
 
   virtual size_t dim() const = 0;
@@ -109,7 +118,8 @@ class FlatDistanceComputer : public DistanceComputer {
   FlatDistanceComputer(const VectorStore* store, Metric metric)
       : store_(store), metric_(metric) {}
 
-  float Distance(const float* q, uint32_t id) override {
+  float Distance(const float* q, uint32_t id, DistanceTally* tally) override {
+    (void)tally;
     return ComputeDistance(metric_, q, store_->data(id), store_->row_dim());
   }
   float DistanceBetween(uint32_t a, uint32_t b) override {
@@ -130,24 +140,28 @@ class FlatDistanceComputer : public DistanceComputer {
 };
 
 /// Weighted multi-vector distance with incremental-scanning pruning — the
-/// MUST path. Accumulates DistanceStats for the pruning ablation. Every
-/// query distance is one WeightedMultiDistance::Pruned call: with pruning
-/// off, or for Distance, the bound is +inf and the call is exact, so the
-/// distances (and results) are the same with pruning on and off.
+/// MUST path. Accumulates DistanceStats for the pruning ablation from the
+/// searches' tallies. Every query distance is one
+/// WeightedMultiDistance::Pruned call: with pruning off, or for Distance,
+/// the bound is +inf and the call is exact, so the distances (and results)
+/// are the same with pruning on and off.
 class MultiVectorDistanceComputer : public DistanceComputer {
  public:
   MultiVectorDistanceComputer(const VectorStore* store,
                               WeightedMultiDistance dist, bool enable_pruning)
       : store_(store), dist_(std::move(dist)), pruning_(enable_pruning) {}
 
-  float Distance(const float* q, uint32_t id) override {
-    return dist_.Pruned(q, store_->data(id), kNoBound, &stats_);
+  float Distance(const float* q, uint32_t id, DistanceTally* tally) override {
+    return dist_.Pruned(q, store_->data(id), kNoBound, tally);
   }
 
-  float DistanceWithBound(const float* q, uint32_t id, float bound) override {
+  float DistanceWithBound(const float* q, uint32_t id, float bound,
+                          DistanceTally* tally) override {
     return dist_.Pruned(q, store_->data(id), pruning_ ? bound : kNoBound,
-                        &stats_);
+                        tally);
   }
+
+  void AddTally(const DistanceTally& tally) override { stats_.Add(tally); }
 
   float DistanceBetween(uint32_t a, uint32_t b) override {
     return dist_.Exact(store_->data(a), store_->data(b));

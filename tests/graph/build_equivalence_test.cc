@@ -1,0 +1,127 @@
+// Build-equivalence oracles for the parallel graph construction stages:
+//
+//  * NN-Descent is pinned to golden adjacency hashes recorded from the
+//    serial implementation, at every SIMD tier the CPU supports;
+//  * every pipeline algorithm builds the same graph whether it runs alone
+//    or races three other identical builds for the shared thread pool.
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "graph/nn_descent.h"
+#include "graph/pipeline.h"
+#include "graph_test_util.h"
+#include "vector/multi_distance.h"
+#include "vector/simd/simd.h"
+
+namespace mqa {
+namespace {
+
+using ::mqa::testing::GraphHash;
+using ::mqa::testing::MakeClusteredStore;
+
+/// The clustered store re-laid out as two 8-dim modalities, so the
+/// weighted multi-vector kernel scores the joins.
+VectorStore TwoModalityStore() {
+  const VectorStore flat = MakeClusteredStore(800, 16, 8, /*seed=*/23);
+  VectorSchema schema;
+  schema.dims = {8, 8};
+  VectorStore store(schema);
+  for (uint32_t i = 0; i < flat.size(); ++i) (void)store.Add(flat.Row(i));
+  return store;
+}
+
+uint64_t FlatNNDescentHash() {
+  const VectorStore store = MakeClusteredStore(1000, 16, 8, /*seed=*/7);
+  FlatDistanceComputer dist(&store, Metric::kL2);
+  Rng rng(11);
+  auto graph = BuildNNDescentGraph(&dist, 16, 8, &rng);
+  EXPECT_TRUE(graph.ok());
+  return graph.ok() ? GraphHash(*graph) : 0;
+}
+
+uint64_t WeightedNNDescentHash() {
+  const VectorStore store = TwoModalityStore();
+  auto weighted = WeightedMultiDistance::Create(store.schema(), {0.7f, 0.3f});
+  EXPECT_TRUE(weighted.ok());
+  MultiVectorDistanceComputer dist(&store, *std::move(weighted),
+                                   /*enable_pruning=*/true);
+  Rng rng(13);
+  auto graph = BuildNNDescentGraph(&dist, 12, 8, &rng);
+  EXPECT_TRUE(graph.ok());
+  return graph.ok() ? GraphHash(*graph) : 0;
+}
+
+TEST(NNDescentGoldenTest, MatchesTheSerialGraphAtEverySimdLevel) {
+  // Recorded from the serial NN-Descent (one join loop, inserts in node
+  // order) before the joins ran on the thread pool. The tiers round
+  // distances differently, but on these stores no rounding difference
+  // reaches a top-k boundary, so one pair of hashes holds at every tier.
+  constexpr uint64_t kFlatGolden = 0x5c218b4e70b5bce0ull;
+  constexpr uint64_t kWeightedGolden = 0x96102bdb37be3e31ull;
+  const SimdLevel saved = ActiveSimdLevel();
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (!CpuSupports(level)) continue;
+    ASSERT_TRUE(SetSimdLevel(level).ok());
+    EXPECT_EQ(FlatNNDescentHash(), kFlatGolden) << SimdLevelName(level);
+    EXPECT_EQ(WeightedNNDescentHash(), kWeightedGolden)
+        << SimdLevelName(level);
+  }
+  ASSERT_TRUE(SetSimdLevel(saved).ok());
+}
+
+class BuildEquivalenceTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BuildEquivalenceTest, RacedBuildsEqualASoloBuild) {
+  const VectorStore store = MakeClusteredStore(400, 8, 6, /*seed=*/41);
+  GraphBuildConfig config;
+  config.algorithm = GetParam();
+  config.max_degree = 12;
+  config.build_beam = 24;
+  config.nn_descent_k = 12;
+  config.nn_descent_iters = 4;
+  config.seed = 5;
+  auto build = [&config, &store]() -> uint64_t {
+    auto index = BuildGraphIndex(
+        config, &store,
+        std::make_unique<FlatDistanceComputer>(&store, Metric::kL2));
+    if (!index.ok()) return 0;
+    uint64_t h = GraphHash((*index)->graph());
+    for (uint32_t e : (*index)->entry_points()) h = h * 31 + e;
+    return h;
+  };
+
+  const uint64_t solo = build();
+  ASSERT_NE(solo, 0u);
+  EXPECT_EQ(build(), solo) << "a repeated build differs";
+
+  constexpr int kBuilders = 4;
+  std::vector<uint64_t> raced(kBuilders, 0);
+  std::vector<std::thread> builders;
+  builders.reserve(kBuilders);
+  for (int b = 0; b < kBuilders; ++b) {
+    builders.emplace_back([&raced, &build, b] { raced[b] = build(); });
+  }
+  for (auto& t : builders) t.join();
+  for (int b = 0; b < kBuilders; ++b) {
+    EXPECT_EQ(raced[b], solo) << "raced build " << b;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, BuildEquivalenceTest,
+    ::testing::Values("kgraph", "nsg", "vamana", "mqa-hybrid"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+}  // namespace
+}  // namespace mqa

@@ -4,8 +4,8 @@
 //  * independent builds racing on different stores (shared DefaultThreadPool
 //    through the DAG engine and shared process-wide statics),
 //  * concurrent read-only searches on one shared index — including the MUST
-//    multi-vector path, whose DistanceStats counters are shared mutable
-//    state across queries (now atomic),
+//    multi-vector path, whose DistanceStats each search updates once, from
+//    its own tally,
 //  * builds overlapping with searches on other indexes.
 //
 // Single-writer mutation (InsertAppended / InsertIntoGraphIndex) is NOT
@@ -126,7 +126,8 @@ TEST(ConcurrentBuildTest, ConcurrentSearchesOnSharedGraphIndex) {
 
 TEST(ConcurrentBuildTest, SharedMustDistanceStatsStayConsistent) {
   // The MUST serving path: one index, one MultiVectorDistanceComputer,
-  // many concurrent queries hammering the shared pruning counters.
+  // many concurrent queries folding their tallies into the shared pruning
+  // counters. Every distance a search issues is counted exactly once.
   VectorSchema schema;
   schema.dims = {4, 4};
   VectorStore store(schema);
@@ -150,6 +151,7 @@ TEST(ConcurrentBuildTest, SharedMustDistanceStatsStayConsistent) {
   constexpr int kThreads = 4;
   constexpr int kQueriesEach = 20;
   std::atomic<int> failures{0};
+  std::vector<SearchStats> per_thread(kThreads);
   std::vector<std::thread> searchers;
   searchers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -161,14 +163,18 @@ TEST(ConcurrentBuildTest, SharedMustDistanceStatsStayConsistent) {
       for (int i = 0; i < kQueriesEach; ++i) {
         Vector q(8);
         for (auto& x : q) x = static_cast<float>(qrng.Gaussian());
-        if (!index->Search(q.data(), p, nullptr).ok()) ++failures;
+        if (!index->Search(q.data(), p, &per_thread[t]).ok()) ++failures;
       }
     });
   }
   for (auto& t : searchers) t.join();
   EXPECT_EQ(failures.load(), 0);
   // Counters quiesced: totals are exact now and must reflect real work.
-  EXPECT_GT(raw_dist->stats().TotalComputations(), 0u);
+  uint64_t dist_comps = 0;
+  for (const SearchStats& s : per_thread) dist_comps += s.dist_comps;
+  EXPECT_GT(dist_comps, 0u);
+  EXPECT_EQ(raw_dist->stats().TotalComputations(), dist_comps);
+  EXPECT_GT(raw_dist->stats().pruned_computations.load(), 0u);
   EXPECT_GT(raw_dist->stats().dims_scanned.load(), 0u);
 }
 

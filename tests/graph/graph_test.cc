@@ -69,6 +69,24 @@ TEST(AdjacencyGraphTest, LoadRejectsGarbage) {
   EXPECT_FALSE(AdjacencyGraph::Load(buf).ok());
 }
 
+TEST(AdjacencyGraphTest, LoadRejectsOutOfRangeNeighborIds) {
+  AdjacencyGraph g(80);
+  for (uint32_t u = 0; u < 80; ++u) g.SetNeighbors(u, {(u + 1) % 80});
+  g.SetNeighbors(0, {1, 1u << 30});
+  std::stringstream buf;
+  ASSERT_TRUE(g.Save(buf).ok());
+  auto loaded = AdjacencyGraph::Load(buf);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+
+  // One past the last node is already out of range.
+  g.SetNeighbors(5, {80});
+  g.SetNeighbors(0, {1});
+  std::stringstream edge;
+  ASSERT_TRUE(g.Save(edge).ok());
+  EXPECT_FALSE(AdjacencyGraph::Load(edge).ok());
+}
+
 TEST(AdjacencyGraphTest, MemoryBytesCountsEdges) {
   AdjacencyGraph g(2);
   g.AddEdge(0, 1);

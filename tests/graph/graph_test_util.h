@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "common/topk.h"
+#include "graph/graph.h"
 #include "vector/vector_store.h"
 
 namespace mqa::testing {
@@ -54,6 +55,25 @@ inline std::vector<Neighbor> ExactKnn(const VectorStore& store,
     topk.Push(L2Sq(query.data(), store.data(i), store.row_dim()), i);
   }
   return topk.TakeSorted();
+}
+
+/// FNV-1a (64-bit) over every node's degree and neighbor ids, in order:
+/// two graphs hash equal exactly when their adjacency lists are equal
+/// (up to hash collisions).
+inline uint64_t GraphHash(const AdjacencyGraph& graph) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](uint32_t word) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (word >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(graph.num_nodes());
+  for (uint32_t u = 0; u < graph.num_nodes(); ++u) {
+    mix(static_cast<uint32_t>(graph.neighbors(u).size()));
+    for (uint32_t v : graph.neighbors(u)) mix(v);
+  }
+  return h;
 }
 
 /// recall@k of `got` against exact `expected` (id-set overlap).

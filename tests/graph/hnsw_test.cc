@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "graph_test_util.h"
 
@@ -166,6 +168,98 @@ TEST(HnswTest, LoadRejectsGarbageAndMismatchedStore) {
                       std::make_unique<FlatDistanceComputer>(&other,
                                                              Metric::kL2))
           .ok());
+}
+
+/// A saved HNSW blob (HnswIndex::Save) with its layout parsed: header
+/// words, then per node its level and, per layer, a degree and the ids.
+class HnswBlob {
+ public:
+  explicit HnswBlob(std::string bytes) : bytes_(std::move(bytes)) {
+    const uint32_t n = Word(4);
+    size_t off = 16;
+    for (uint32_t i = 0; i < n; ++i) {
+      levels_.push_back(static_cast<int>(Word(off)));
+      off += 4;
+      links_.emplace_back();
+      for (int layer = 0; layer <= levels_.back(); ++layer) {
+        links_.back().push_back(off + 4);
+        off += 4 + 4 * static_cast<size_t>(Word(off));
+      }
+    }
+  }
+
+  static constexpr size_t kEntryPoint = 8;
+  static constexpr size_t kMaxLevel = 12;
+
+  uint32_t Word(size_t off) const {
+    uint32_t v = 0;
+    std::memcpy(&v, bytes_.data() + off, sizeof(v));
+    return v;
+  }
+  /// A copy of the blob with the word at `off` replaced.
+  std::string With(size_t off, uint32_t value) const {
+    std::string out = bytes_;
+    std::memcpy(out.data() + off, &value, sizeof(value));
+    return out;
+  }
+  const std::string& bytes() const { return bytes_; }
+  int level(uint32_t node) const { return levels_[node]; }
+  uint32_t degree(uint32_t node, int layer) const {
+    return Word(links_[node][layer] - 4);
+  }
+  /// Offset of the first id `node` links to on `layer`.
+  size_t links(uint32_t node, int layer) const { return links_[node][layer]; }
+  uint32_t num_nodes() const { return static_cast<uint32_t>(levels_.size()); }
+
+ private:
+  std::string bytes_;
+  std::vector<int> levels_;
+  std::vector<std::vector<size_t>> links_;
+};
+
+TEST(HnswTest, LoadRejectsIdsThatWouldSendASearchOutOfRange) {
+  VectorStore store = MakeClusteredStore(120, 8, 4, 95);
+  HnswConfig config;
+  config.m = 4;
+  auto built = HnswIndex::Build(
+      config, &store,
+      std::make_unique<FlatDistanceComputer>(&store, Metric::kL2));
+  ASSERT_TRUE(built.ok());
+  std::stringstream out;
+  ASSERT_TRUE((*built)->Save(out).ok());
+  const HnswBlob blob(out.str());
+  auto load = [&](const std::string& bytes) {
+    std::stringstream in(bytes);
+    return HnswIndex::Load(
+               in, config, &store,
+               std::make_unique<FlatDistanceComputer>(&store, Metric::kL2))
+        .status();
+  };
+  ASSERT_TRUE(load(blob.bytes()).ok());
+
+  const uint32_t n = blob.num_nodes();
+  const uint32_t top = blob.Word(HnswBlob::kMaxLevel);
+  ASSERT_GE(top, 1u) << "the fixture needs a second layer";
+  EXPECT_EQ(load(blob.With(HnswBlob::kEntryPoint, n)).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(load(blob.With(HnswBlob::kMaxLevel, top + 1)).code(),
+            StatusCode::kIoError);
+
+  uint32_t linked = n;  // a node with a layer-0 link
+  uint32_t upper = n;   // a node with a layer-1 link
+  uint32_t ground = n;  // a node that lives on layer 0 only
+  for (uint32_t i = 0; i < n; ++i) {
+    if (linked == n && blob.degree(i, 0) > 0) linked = i;
+    if (upper == n && blob.level(i) >= 1 && blob.degree(i, 1) > 0) upper = i;
+    if (ground == n && blob.level(i) == 0) ground = i;
+  }
+  ASSERT_LT(linked, n);
+  ASSERT_LT(upper, n);
+  ASSERT_LT(ground, n);
+  EXPECT_EQ(load(blob.With(blob.links(linked, 0), 1u << 30)).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(load(blob.With(blob.links(upper, 1), ground)).code(),
+            StatusCode::kIoError);
 }
 
 TEST(HnswTest, InsertAppendedRequiresGrownStore) {

@@ -62,6 +62,19 @@ TEST(GraphIndexPersistenceTest, LoadRejectsGarbageAndSizeMismatch) {
           .ok());
 }
 
+TEST(GraphIndexPersistenceTest, LoadRejectsOutOfRangeEntryPoints) {
+  VectorStore store = MakeClusteredStore(40, 8, 4, 55);
+  AdjacencyGraph graph(40);
+  for (uint32_t u = 0; u < 40; ++u) graph.SetNeighbors(u, {(u + 1) % 40});
+  GraphIndex index("mqa-hybrid", std::move(graph), nullptr, {3, 40});
+  std::stringstream blob;
+  ASSERT_TRUE(index.Save(blob).ok());
+  auto loaded = GraphIndex::Load(
+      blob, std::make_unique<FlatDistanceComputer>(&store, Metric::kL2));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
 TEST(GraphIndexPersistenceTest, TruncatedBlobFails) {
   VectorStore store = MakeClusteredStore(80, 8, 4, 54);
   GraphBuildConfig config;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "graph/nn_descent.h"
 #include "graph_test_util.h"
 
@@ -213,6 +214,26 @@ TEST(BuildGraphIndexTest, StageNamesFollowThePipelineDecomposition) {
   EXPECT_EQ(names,
             (std::vector<std::string>{"initialization", "seed_acquisition",
                                       "refinement", "connectivity"}));
+}
+
+TEST(BuildGraphIndexTest, EachStageRecordsIntoItsOwnHistogram) {
+  VectorStore store = MakeClusteredStore(200, 4, 4, 19);
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  Histogram* init = metrics.GetHistogram("dag/stage_ms/initialization");
+  Histogram* refine = metrics.GetHistogram("dag/stage_ms/refinement");
+  Histogram* pooled = metrics.GetHistogram("dag/stage_ms");
+  const uint64_t init_before = init->count();
+  const uint64_t refine_before = refine->count();
+  const uint64_t pooled_before = pooled->count();
+  BuildReport report;
+  auto index = BuildGraphIndex(
+      GraphBuildConfig{}, &store,
+      std::make_unique<FlatDistanceComputer>(&store, Metric::kL2), &report);
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(init->count() - init_before, 1u);
+  EXPECT_EQ(refine->count() - refine_before, 1u);
+  // The pooled histogram still takes every stage.
+  EXPECT_EQ(pooled->count() - pooled_before, report.stages.size());
 }
 
 TEST(BuildGraphIndexTest, DeterministicGivenSeed) {

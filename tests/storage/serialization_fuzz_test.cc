@@ -1,7 +1,9 @@
 // Corruption robustness: every persisted format must reject truncated and
 // bit-flipped inputs with an error — never crash, never return garbage
 // silently. The loaders are exercised at every truncation point and under
-// random byte flips.
+// random byte flips, and every graph or HNSW blob that still loads is
+// searched: a loader may accept changed data, never ids a search would
+// follow out of range.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,17 @@
 
 namespace mqa {
 namespace {
+
+/// Runs a few queries (rows of `store`) against a freshly loaded index; a
+/// corrupted-but-accepted blob must still search without crashing.
+void SearchLoaded(VectorIndex* index, const VectorStore& store) {
+  SearchParams params;
+  params.k = 5;
+  params.beam_width = 16;
+  for (uint32_t q : {0u, 17u, 79u}) {
+    (void)index->Search(store.data(q), params, nullptr);
+  }
+}
 
 // Runs `load` against every prefix of `blob` (stepping to keep runtime
 // sane) and against random single-byte corruptions; the loader must
@@ -89,8 +102,12 @@ TEST(SerializationFuzzTest, GraphIndexSurvivesCorruption) {
   std::stringstream out;
   ASSERT_TRUE((*index)->Save(out).ok());
   FuzzBlob(out.str(),
-           [](std::istream& in) {
-             return GraphIndex::Load(in, nullptr).ok();
+           [&store](std::istream& in) {
+             auto loaded = GraphIndex::Load(
+                 in, std::make_unique<FlatDistanceComputer>(&store,
+                                                            Metric::kL2));
+             if (loaded.ok()) SearchLoaded(loaded->get(), store);
+             return loaded.ok();
            },
            5);
 }
@@ -113,11 +130,11 @@ TEST(SerializationFuzzTest, HnswSurvivesCorruption) {
   ASSERT_TRUE((*index)->Save(out).ok());
   FuzzBlob(out.str(),
            [&store](std::istream& in) {
-             return HnswIndex::Load(
-                        in, HnswConfig{}, &store,
-                        std::make_unique<FlatDistanceComputer>(&store,
-                                                               Metric::kL2))
-                 .ok();
+             auto loaded = HnswIndex::Load(
+                 in, HnswConfig{}, &store,
+                 std::make_unique<FlatDistanceComputer>(&store, Metric::kL2));
+             if (loaded.ok()) SearchLoaded(loaded->get(), store);
+             return loaded.ok();
            },
            7);
 }

@@ -196,19 +196,19 @@ TEST_F(KernelParityTest, WeightedMultiDistanceMatchesAcrossTiers) {
         SCOPED_TRACE(::testing::Message()
                      << "round=" << r << " level=" << SimdLevelName(level)
                      << " bound=" << bound << " ref=" << ref);
-        DistanceStats stats;
+        DistanceTally stats;
         const float v = dist->Pruned(a.data(), b.data(), bound, &stats);
         // One kernel: a call that did not abandon is this tier's Exact,
         // bit for bit.
-        if (stats.pruned_computations.load() == 0) {
+        if (stats.pruned_computations == 0) {
           EXPECT_EQ(v, exact);
         }
         const double margin = ref - static_cast<double>(bound);
         if (margin > tol) {
           EXPECT_GT(v, bound);
         } else if (margin < -tol) {
-          EXPECT_EQ(stats.pruned_computations.load(), 0u);
-          EXPECT_EQ(stats.dims_scanned.load(), schema.TotalDim());
+          EXPECT_EQ(stats.pruned_computations, 0u);
+          EXPECT_EQ(stats.dims_scanned, schema.TotalDim());
           EXPECT_NEAR(v, ref, tol);
         } else {
           EXPECT_TRUE(v > bound || std::abs(v - ref) <= tol) << "got=" << v;

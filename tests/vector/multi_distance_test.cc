@@ -50,7 +50,7 @@ TEST(WeightedMultiDistanceTest, PrunedMatchesExactUnderLooseBound) {
     for (auto& x : q) x = static_cast<float>(rng.Gaussian());
     for (auto& x : o) x = static_cast<float>(rng.Gaussian());
     const float exact = dist->Exact(q.data(), o.data());
-    DistanceStats stats;
+    DistanceTally stats;
     const float pruned =
         dist->Pruned(q.data(), o.data(), exact + 1.0f, &stats);
     EXPECT_EQ(pruned, exact);
@@ -65,7 +65,7 @@ TEST(WeightedMultiDistanceTest, PrunedAbandonsAndCounts) {
   auto dist = WeightedMultiDistance::Create(schema, {1.0f, 1.0f});
   ASSERT_TRUE(dist.ok());
   Vector q(64, 0.0f), o(64, 1.0f);  // true distance = 64
-  DistanceStats stats;
+  DistanceTally stats;
   const float d = dist->Pruned(q.data(), o.data(), 5.0f, &stats);
   EXPECT_GT(d, 5.0f);
   EXPECT_EQ(stats.pruned_computations, 1u);
@@ -110,6 +110,20 @@ TEST(DistanceStatsTest, ResetClears) {
   stats.Reset();
   EXPECT_EQ(stats.TotalComputations(), 0u);
   EXPECT_EQ(stats.dims_scanned, 0u);
+}
+
+TEST(DistanceStatsTest, AddFoldsATallyIn) {
+  DistanceStats stats;
+  stats.full_computations = 5;
+  DistanceTally tally;
+  tally.full_computations = 2;
+  tally.pruned_computations = 3;
+  tally.dims_scanned = 40;
+  stats.Add(tally);
+  stats.Add(tally);
+  EXPECT_EQ(stats.full_computations, 9u);
+  EXPECT_EQ(stats.pruned_computations, 6u);
+  EXPECT_EQ(stats.dims_scanned, 80u);
 }
 
 // Property: for any weights and vectors, Pruned equals Exact bit for bit

@@ -88,7 +88,7 @@ TEST(FlatDistanceComputerTest, ComputesMetricDistances) {
   ASSERT_TRUE(store.Add({3, 4}).ok());
   FlatDistanceComputer dist(&store, Metric::kL2);
   const Vector q = {0, 0};
-  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 1), 25.0f);
+  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 1, nullptr), 25.0f);
   EXPECT_FLOAT_EQ(dist.DistanceBetween(0, 1), 25.0f);
   EXPECT_EQ(dist.size(), 2u);
   EXPECT_EQ(dist.dim(), 2u);
@@ -103,15 +103,22 @@ TEST(MultiVectorDistanceComputerTest, TracksStatsAndHonorsPruningFlag) {
 
   MultiVectorDistanceComputer pruned(&store, *wd, /*enable_pruning=*/true);
   const Vector q(5, 0.0f);
-  const float d = pruned.DistanceWithBound(q.data(), 1, 1.0f);
+  DistanceTally tally;
+  const float d = pruned.DistanceWithBound(q.data(), 1, 1.0f, &tally);
   EXPECT_GT(d, 1.0f);
+  EXPECT_EQ(tally.pruned_computations, 1u);
+  // The shared stats move only when a search hands its tally over.
+  EXPECT_EQ(pruned.stats().TotalComputations(), 0u);
+  pruned.AddTally(tally);
   EXPECT_EQ(pruned.stats().pruned_computations, 1u);
   pruned.ResetStats();
   EXPECT_EQ(pruned.stats().TotalComputations(), 0u);
 
   MultiVectorDistanceComputer unpruned(&store, *wd, /*enable_pruning=*/false);
-  const float full = unpruned.DistanceWithBound(q.data(), 1, 1.0f);
+  DistanceTally full_tally;
+  const float full = unpruned.DistanceWithBound(q.data(), 1, 1.0f, &full_tally);
   EXPECT_FLOAT_EQ(full, 500.0f);
+  unpruned.AddTally(full_tally);
   EXPECT_EQ(unpruned.stats().full_computations, 1u);
   EXPECT_EQ(unpruned.stats().pruned_computations, 0u);
 }
@@ -151,9 +158,9 @@ TEST(MultiVectorDistanceComputerTest, SetWeightsChangesDistances) {
   ASSERT_TRUE(wd.ok());
   MultiVectorDistanceComputer dist(&store, *wd, true);
   const Vector q(5, 0.0f);
-  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0), 1.0f);
+  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, nullptr), 1.0f);
   ASSERT_TRUE(dist.SetWeights({4.0f, 1.0f}).ok());
-  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0), 4.0f);
+  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, nullptr), 4.0f);
 }
 
 }  // namespace
