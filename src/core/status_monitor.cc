@@ -1,5 +1,7 @@
 #include "core/status_monitor.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace mqa {
@@ -26,10 +28,38 @@ void StatusMonitor::Emit(StatusEvent event) {
   Callback callback;
   {
     MutexLock lock(&mu_);
-    history_.push_back(event);
+    Entry entry{next_seq_++, event};
+    const bool first = std::none_of(
+        firsts_.begin(), firsts_.end(),
+        [&](const Entry& e) { return e.event.stage == event.stage; });
+    if (first) {
+      firsts_.push_back(std::move(entry));
+    } else if (recent_.size() < kRecentEvents) {
+      recent_.push_back(std::move(entry));
+    } else {
+      recent_[oldest_] = std::move(entry);
+      oldest_ = (oldest_ + 1) % kRecentEvents;
+    }
     callback = callback_;
   }
   if (callback) callback(event);
+}
+
+std::vector<StatusEvent> StatusMonitor::history() const {
+  MutexLock lock(&mu_);
+  std::vector<StatusEvent> out;
+  out.reserve(firsts_.size() + recent_.size());
+  // Both lists are in emission order; merge them by sequence number.
+  size_t f = 0;
+  for (size_t i = 0; i < recent_.size(); ++i) {
+    const Entry& r = recent_[(oldest_ + i) % recent_.size()];
+    while (f < firsts_.size() && firsts_[f].seq < r.seq) {
+      out.push_back(firsts_[f++].event);
+    }
+    out.push_back(r.event);
+  }
+  while (f < firsts_.size()) out.push_back(firsts_[f++].event);
+  return out;
 }
 
 void StatusMonitor::Emit(ComponentStage stage, std::string message,

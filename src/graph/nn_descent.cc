@@ -153,14 +153,14 @@ Result<AdjacencyGraph> BuildNNDescentGraph(DistanceComputer* dist, uint32_t k,
     if (updates.load(std::memory_order_relaxed) == 0) break;
   }
 
-  AdjacencyGraph graph(n);
+  AdjacencyGraph graph(n, k);
+  std::vector<uint32_t> nbrs;
   for (uint32_t u = 0; u < n; ++u) {
     NodeList& list = lists[u];
     MutexLock lock(&list.mu);
-    std::vector<uint32_t> nbrs;
-    nbrs.reserve(list.entries.size());
+    nbrs.clear();
     for (const Entry& e : list.entries) nbrs.push_back(e.id);
-    graph.SetNeighbors(u, std::move(nbrs));
+    graph.SetNeighbors(u, nbrs);
   }
   return graph;
 }

@@ -38,6 +38,7 @@ Status StageInitNNDescent(dag::DagContext* ctx) {
   MQA_ASSIGN_OR_RETURN(
       s->graph, BuildNNDescentGraph(s->dist, s->config.nn_descent_k,
                                     s->config.nn_descent_iters, &s->rng));
+  s->graph.Reserve(std::max(s->config.max_degree, s->config.nn_descent_k));
   return Status::OK();
 }
 
@@ -46,7 +47,8 @@ Status StageInitRandom(dag::DagContext* ctx) {
   MQA_ASSIGN_OR_RETURN(BuildState * s, GetState(ctx));
   const uint32_t n = s->dist->size();
   const uint32_t r = std::min(s->config.max_degree, n > 1 ? n - 1 : 0);
-  AdjacencyGraph graph(n);
+  AdjacencyGraph graph(n,
+                       std::max(s->config.max_degree, s->config.nn_descent_k));
   for (uint32_t u = 0; u < n && r > 0; ++u) {
     std::unordered_set<uint32_t> chosen;
     std::vector<uint32_t> nbrs;
@@ -56,7 +58,7 @@ Status StageInitRandom(dag::DagContext* ctx) {
       if (v >= u) ++v;
       if (chosen.insert(v).second) nbrs.push_back(v);
     }
-    graph.SetNeighbors(u, std::move(nbrs));
+    graph.SetNeighbors(u, nbrs);
   }
   s->graph = std::move(graph);
   return Status::OK();
@@ -75,8 +77,10 @@ Status StageTruncate(dag::DagContext* ctx) {
   MQA_ASSIGN_OR_RETURN(BuildState * s, GetState(ctx));
   const uint32_t r = s->config.max_degree;
   for (uint32_t u = 0; u < s->graph.num_nodes(); ++u) {
-    auto* nbrs = s->graph.mutable_neighbors(u);
-    if (nbrs->size() > r) nbrs->resize(r);
+    const std::span<const uint32_t> nbrs = s->graph.neighbors(u);
+    if (nbrs.size() <= r) continue;
+    s->graph.SetNeighbors(u, std::vector<uint32_t>(nbrs.begin(),
+                                                   nbrs.begin() + r));
   }
   return Status::OK();
 }
@@ -125,7 +129,7 @@ Status StageRefine(dag::DagContext* ctx, float alpha) {
     for (size_t i = 0; i < size; ++i) {
       const uint32_t u = order[begin + i];
       for (uint32_t v : selected[i]) backlinks.emplace_back(v, u);
-      s->graph.SetNeighbors(u, std::move(selected[i]));
+      s->graph.SetNeighbors(u, selected[i]);
     }
     std::stable_sort(backlinks.begin(), backlinks.end(),
                      [](const auto& a, const auto& b) {
@@ -137,27 +141,29 @@ Status StageRefine(dag::DagContext* ctx, float alpha) {
         group_starts.push_back(e);
       }
     }
-    // Reverse edges, pruning on overflow. Each task owns one target's list.
+    // Reverse edges, pruning on overflow. Each task owns one target's list:
+    // it builds the new list locally and commits it, within the degree
+    // bound, so the concurrent commits touch disjoint slots.
     pool.ParallelFor(group_starts.size(), [&](size_t g) {
       const size_t first = group_starts[g];
       const size_t last = g + 1 < group_starts.size() ? group_starts[g + 1]
                                                       : backlinks.size();
       const uint32_t v = backlinks[first].first;
-      std::vector<uint32_t>* vn = s->graph.mutable_neighbors(v);
+      const std::span<const uint32_t> current = s->graph.neighbors(v);
+      std::vector<uint32_t> vn(current.begin(), current.end());
       for (size_t e = first; e < last; ++e) {
         const uint32_t u = backlinks[e].second;
-        if (std::find(vn->begin(), vn->end(), u) == vn->end()) {
-          vn->push_back(u);
-        }
+        if (std::find(vn.begin(), vn.end(), u) == vn.end()) vn.push_back(u);
       }
-      if (vn->size() > r) {
+      if (vn.size() > r) {
         std::vector<Neighbor> candidates;
-        candidates.reserve(vn->size());
-        for (uint32_t w : *vn) {
+        candidates.reserve(vn.size());
+        for (uint32_t w : vn) {
           candidates.push_back({s->dist->DistanceBetween(v, w), w});
         }
-        *vn = RobustPrune(v, std::move(candidates), alpha, r, s->dist);
+        vn = RobustPrune(v, std::move(candidates), alpha, r, s->dist);
       }
+      s->graph.SetNeighbors(v, vn);
     });
   }
   return Status::OK();
@@ -390,19 +396,22 @@ Status InsertIntoGraphIndex(GraphIndex* index, const VectorStore* store,
 
   // Pruned backlinks so the new node is reachable.
   for (uint32_t v : selected) {
-    auto* vn = graph->mutable_neighbors(v);
-    if (std::find(vn->begin(), vn->end(), new_id) != vn->end()) continue;
-    vn->push_back(new_id);
-    if (vn->size() > config.max_degree) {
+    const std::span<const uint32_t> current = graph->neighbors(v);
+    if (std::find(current.begin(), current.end(), new_id) != current.end()) {
+      continue;
+    }
+    std::vector<uint32_t> vn(current.begin(), current.end());
+    vn.push_back(new_id);
+    if (vn.size() > config.max_degree) {
       std::vector<Neighbor> pool;
-      pool.reserve(vn->size());
-      for (uint32_t w : *vn) {
+      pool.reserve(vn.size());
+      for (uint32_t w : vn) {
         pool.push_back({dist->DistanceBetween(v, w), w});
       }
-      graph->SetNeighbors(
-          v, RobustPrune(v, std::move(pool), config.alpha,
-                         config.max_degree, dist));
+      vn = RobustPrune(v, std::move(pool), config.alpha, config.max_degree,
+                       dist);
     }
+    graph->SetNeighbors(v, vn);
   }
   // Degenerate safety: an empty selection (e.g. first insert into a
   // 1-node graph) still needs reachability.
@@ -425,7 +434,8 @@ Result<AdjacencyGraph> CompactAdjacency(const AdjacencyGraph& graph,
   if (live_count == 0) {
     return Status::FailedPrecondition("cannot compact to an empty graph");
   }
-  AdjacencyGraph compacted(live_count);
+  AdjacencyGraph compacted(live_count,
+                           std::max(graph.capacity(), max_degree));
   std::vector<bool> visited(graph.num_nodes(), false);
   std::vector<uint32_t> queue;
   for (uint32_t node = 0; node < graph.num_nodes(); ++node) {
@@ -451,7 +461,7 @@ Result<AdjacencyGraph> CompactAdjacency(const AdjacencyGraph& graph,
     // Reset only the nodes this BFS touched (cheaper than a full clear).
     visited[node] = false;
     for (uint32_t n : queue) visited[n] = false;
-    compacted.SetNeighbors(new_id, std::move(selected));
+    compacted.SetNeighbors(new_id, selected);
   }
   return compacted;
 }

@@ -3,13 +3,67 @@
 #include <algorithm>
 #include <istream>
 #include <limits>
+#include <optional>
+#include <span>
 #include <ostream>
-#include <queue>
 
 #include "common/metrics.h"
 #include "common/trace.h"
 
 namespace mqa {
+
+namespace {
+
+/// One entry of the search's candidate buffer.
+struct Candidate {
+  float distance;
+  uint32_t id;
+  bool expanded;
+};
+
+/// State a search reuses from the previous one on its thread: the visited
+/// table, the candidate buffer and the to-score list. A node counts as
+/// visited when its stamp equals the current epoch, so starting a search is
+/// an epoch bump, not an O(n) clear.
+struct SearchScratch {
+  std::vector<uint32_t> stamps;
+  uint32_t epoch = 0;
+  std::vector<Candidate> candidates;
+  std::vector<uint32_t> to_score;
+
+  void Begin(uint32_t num_nodes) {
+    if (stamps.size() < num_nodes) stamps.resize(num_nodes, 0);
+    if (++epoch == 0) {  // wrapped: stamps from 2^32 searches ago match
+      std::fill(stamps.begin(), stamps.end(), 0);
+      epoch = 1;
+    }
+    candidates.clear();
+  }
+};
+
+/// NeighborLess on candidates, written without branches: the buffer's
+/// binary search runs on data-dependent comparisons a predictor cannot
+/// learn.
+bool CandidateLess(const Candidate& a, const Candidate& b) {
+  return (a.distance < b.distance) |
+         ((a.distance == b.distance) & (a.id < b.id));
+}
+
+/// Index of the first entry of the sorted `pool` not less than `c`, by a
+/// branch-free binary search.
+size_t LowerBound(const std::vector<Candidate>& pool, const Candidate& c) {
+  if (pool.empty()) return 0;
+  const Candidate* base = pool.data();
+  size_t len = pool.size();
+  while (len > 1) {
+    const size_t half = len / 2;
+    base = CandidateLess(base[half], c) ? base + half : base;
+    len -= half;
+  }
+  return static_cast<size_t>(base - pool.data()) + CandidateLess(*base, c);
+}
+
+}  // namespace
 
 std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
                                  DistanceComputer* dist, const float* query,
@@ -19,74 +73,100 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
                                  std::vector<Neighbor>* evaluated,
                                  const SearchFilter& filter) {
   const uint32_t n = graph.num_nodes();
-  if (n == 0 || entries.empty()) return {};
-  beam_width = std::max(beam_width, k);
+  const size_t width = std::max(beam_width, k);
+  if (n == 0 || entries.empty() || width == 0) return {};
 
-  std::vector<bool> visited(n, false);
+  thread_local SearchScratch scratch;
+  scratch.Begin(n);
+  std::vector<Candidate>& pool = scratch.candidates;
+  std::vector<uint32_t>& to_score = scratch.to_score;
+  uint32_t* const stamps = scratch.stamps.data();
+  const uint32_t epoch = scratch.epoch;
 
-  // Candidate frontier: min-heap by distance.
-  auto cand_greater = [](const Neighbor& a, const Neighbor& b) {
-    return NeighborLess(b, a);
-  };
-  std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(cand_greater)>
-      frontier(cand_greater);
-
-  // The beam steers navigation over every vertex; with a filter active,
-  // admissible results are collected separately.
-  TopK beam(beam_width);
-  TopK admitted(k);
+  // The candidate buffer, sorted by (distance, id): the `width` best
+  // candidates offered so far, then any others that tie the width-th
+  // distance. Those are exactly the candidates a best-first search may
+  // still expand (it stops at the first one strictly worse than its
+  // width-th best), so expanding the first unexpanded entry reproduces
+  // that search step for step, ties included. Entries before `cursor` are
+  // expanded; the one at `cursor`, if any, is not.
+  size_t cursor = 0;
+  // With a filter active, admissible results are collected separately;
+  // the buffer steers navigation over every vertex.
+  std::optional<TopK> admitted;
+  if (filter) admitted.emplace(k);
   DistanceTally tally;
+  uint64_t hops = 0;
+  uint64_t dist_comps = 0;
 
   auto offer = [&](float d, uint32_t id) {
-    frontier.push({d, id});
-    beam.Push(d, id);
-    if (filter && filter(id)) admitted.Push(d, id);
+    if (admitted && filter(id)) admitted->Push(d, id);
+    if (pool.size() >= width && d > pool[width - 1].distance) return;
+    const Candidate c{d, id, false};
+    const size_t at = LowerBound(pool, c);
+    cursor = std::min(cursor, at);
+    pool.insert(pool.begin() + static_cast<std::ptrdiff_t>(at), c);
+    if (pool.size() > width) {
+      const float w = pool[width - 1].distance;
+      while (pool.back().distance > w) pool.pop_back();
+    }
   };
 
   for (uint32_t e : entries) {
-    if (e >= n || visited[e]) continue;
-    visited[e] = true;
+    if (e >= n || stamps[e] == epoch) continue;
+    stamps[e] = epoch;
     const float d = dist->Distance(query, e, &tally);
-    if (stats != nullptr) ++stats->dist_comps;
+    ++dist_comps;
     if (evaluated != nullptr) evaluated->push_back({d, e});
     offer(d, e);
   }
 
-  // Adjacency-scan scratch, reused across hops. Unvisited neighbors are
-  // collected first and their rows prefetched together, so by the time each
-  // one is scored its vector is already on the way to L1; scoring order and
-  // bound updates are exactly those of the one-pass loop.
-  std::vector<uint32_t> to_score;
+  while (cursor < pool.size()) {
+    const uint32_t current = pool[cursor].id;
+    pool[cursor].expanded = true;
+    while (cursor < pool.size() && pool[cursor].expanded) ++cursor;
+    // The next expansion is most likely the new first unexpanded entry;
+    // start fetching its list while this one is scored.
+    if (cursor < pool.size()) graph.PrefetchNeighbors(pool[cursor].id);
+    ++hops;
 
-  while (!frontier.empty()) {
-    const Neighbor current = frontier.top();
-    frontier.pop();
-    // Termination: the closest unexpanded candidate cannot improve the beam.
-    if (beam.Full() && current.distance > beam.WorstDistance()) break;
-    if (stats != nullptr) ++stats->hops;
-
-    to_score.clear();
-    for (uint32_t nbr : graph.neighbors(current.id)) {
-      if (visited[nbr]) continue;
-      visited[nbr] = true;
-      to_score.push_back(nbr);
+    // Unvisited neighbors are collected first and their rows prefetched
+    // together, so by the time each one is scored its vector is already on
+    // the way to L1; scoring order and bound updates are exactly those of
+    // the one-pass loop.
+    const std::span<const uint32_t> nbrs = graph.neighbors(current);
+    if (to_score.size() < nbrs.size()) to_score.resize(nbrs.size());
+    size_t num_to_score = 0;
+    for (uint32_t nbr : nbrs) {  // branch-free: "visited" is unpredictable
+      to_score[num_to_score] = nbr;
+      num_to_score += stamps[nbr] != epoch;
+      stamps[nbr] = epoch;
     }
-    for (uint32_t nbr : to_score) dist->Prefetch(nbr);
-    for (uint32_t nbr : to_score) {
-      const float bound = beam.Full() ? beam.WorstDistance()
-                                      : std::numeric_limits<float>::max();
+    for (size_t i = 0; i < num_to_score; ++i) dist->Prefetch(to_score[i]);
+    for (size_t i = 0; i < num_to_score; ++i) {
+      const uint32_t nbr = to_score[i];
+      const float bound = pool.size() >= width
+                              ? pool[width - 1].distance
+                              : std::numeric_limits<float>::max();
       const float d = dist->DistanceWithBound(query, nbr, bound, &tally);
-      if (stats != nullptr) ++stats->dist_comps;
-      if (d > bound) continue;  // pruned: cannot enter the beam
+      ++dist_comps;
+      if (d > bound) continue;  // pruned: cannot enter the buffer
       if (evaluated != nullptr) evaluated->push_back({d, nbr});
       offer(d, nbr);
     }
   }
   dist->AddTally(tally);
+  if (stats != nullptr) {
+    stats->hops += hops;
+    stats->dist_comps += dist_comps;
+  }
 
-  std::vector<Neighbor> results =
-      filter ? admitted.TakeSorted() : beam.TakeSorted();
-  if (results.size() > k) results.resize(k);
+  if (admitted) return admitted->TakeSorted();
+  std::vector<Neighbor> results;
+  results.reserve(std::min(k, pool.size()));
+  for (size_t i = 0; i < k && i < pool.size(); ++i) {
+    results.push_back({pool[i].distance, pool[i].id});
+  }
   return results;
 }
 

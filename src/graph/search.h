@@ -16,10 +16,20 @@ namespace mqa {
 /// Best-first beam search over a navigation graph — the paper's "Query
 /// Execution" traversal: start at the entry vertices, repeatedly expand the
 /// closest unexpanded vertex, stop when the beam can no longer improve.
-/// Distances go through `dist->DistanceWithBound`, so the incremental
-/// multi-vector scan prunes against the current beam frontier; they are
-/// counted in a tally local to the call and added to `dist` once, at the
-/// end (DistanceComputer::AddTally).
+/// The beam is one sorted buffer of the `beam_width` best candidates, each
+/// flagged once expanded (NSG's retset, DiskANN's NeighborPriorityQueue);
+/// ties are broken by NeighborLess. Distances go through
+/// `dist->DistanceWithBound`, so the incremental multi-vector scan prunes
+/// against the beam's current worst; they are counted in a tally local to
+/// the call and added to `dist` once, at the end (DistanceComputer::AddTally).
+///
+/// The visited table, the buffer and the to-score list are scratch reused
+/// by every search on the calling thread (a thread_local), so a search
+/// allocates nothing once its thread has seen a graph this large, and
+/// resetting the visited table is O(1). Concurrent searches on one graph
+/// from different threads are safe while nothing writes the graph. The
+/// filter and the distance computer must not run a BeamSearch themselves:
+/// it would reuse the scratch of the search that called them.
 ///
 /// Returns the k best results sorted ascending. When `evaluated` is given,
 /// every (distance, id) actually scored is appended (build-time candidate

@@ -72,8 +72,10 @@ Result<VectorStore> VectorStore::Load(std::istream& in) {
   uint64_t n = 0;
   if (!ReadPod(in, &n)) return Status::IoError("truncated row count");
   VectorStore store(schema);
-  store.flat_.resize(n * store.stride_, 0.0f);
+  // The buffer grows row by row as rows arrive, so a corrupt count meets
+  // the truncation check instead of one allocation of its size.
   for (uint64_t i = 0; i < n; ++i) {
+    store.flat_.resize((i + 1) * store.stride_, 0.0f);
     in.read(reinterpret_cast<char*>(store.flat_.data() + i * store.stride_),
             static_cast<std::streamsize>(store.row_dim() * sizeof(float)));
     if (!in) return Status::IoError("truncated vector data");

@@ -73,8 +73,12 @@ TEST(IngestionTest, FailedSearchLeavesNoQueryWeightsForTheNextInsert) {
   ASSERT_NE(must_failed->flat_graph_index(), nullptr);
   ASSERT_NE(must_clean->flat_graph_index(), nullptr);
   const auto id = static_cast<uint32_t>(*id_clean);
-  EXPECT_EQ(must_failed->flat_graph_index()->graph().neighbors(id),
-            must_clean->flat_graph_index()->graph().neighbors(id));
+  const AdjacencyGraph& graph_failed = must_failed->flat_graph_index()->graph();
+  const AdjacencyGraph& graph_clean = must_clean->flat_graph_index()->graph();
+  EXPECT_EQ(std::vector<uint32_t>(graph_failed.neighbors(id).begin(),
+                                  graph_failed.neighbors(id).end()),
+            std::vector<uint32_t>(graph_clean.neighbors(id).begin(),
+                                  graph_clean.neighbors(id).end()));
 }
 
 TEST(IngestionTest, ManyIngestionsKeepSystemHealthy) {

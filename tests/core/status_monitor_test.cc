@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 namespace mqa {
 namespace {
 
@@ -47,6 +51,33 @@ TEST(StatusMonitorTest, ClearEmptiesHistory) {
   monitor.Clear();
   EXPECT_TRUE(monitor.history().empty());
   EXPECT_EQ(monitor.Render(), "");
+}
+
+TEST(StatusMonitorTest, HistoryKeepsMilestonesAndTheMostRecentEvents) {
+  StatusMonitor monitor;
+  monitor.Emit(ComponentStage::kDataPreprocessing, "loaded");
+  monitor.Emit(ComponentStage::kVectorRepresentation, "encoded");
+  monitor.Emit(ComponentStage::kIndexConstruction, "built");
+  constexpr size_t kTurns = 4 * StatusMonitor::kRecentEvents;
+  for (size_t i = 0; i < kTurns; ++i) {
+    monitor.Emit(ComponentStage::kQueryExecution, "query " + std::to_string(i));
+    monitor.Emit(ComponentStage::kAnswerGeneration,
+                 "answer " + std::to_string(i));
+  }
+  const std::vector<StatusEvent> history = monitor.history();
+  // The three milestones, the first query and answer events, and the ring.
+  ASSERT_EQ(history.size(), 5 + StatusMonitor::kRecentEvents);
+  EXPECT_EQ(history[0].message, "loaded");
+  EXPECT_EQ(history[1].message, "encoded");
+  EXPECT_EQ(history[2].message, "built");
+  EXPECT_EQ(history[3].message, "query 0");
+  EXPECT_EQ(history[4].message, "answer 0");
+  // The ring holds the newest events, oldest first.
+  const size_t oldest_kept = kTurns - StatusMonitor::kRecentEvents / 2;
+  EXPECT_EQ(history[5].message, "query " + std::to_string(oldest_kept));
+  EXPECT_EQ(history.back().message, "answer " + std::to_string(kTurns - 1));
+  EXPECT_NE(monitor.Render().find("[x] index-construction: built"),
+            std::string::npos);
 }
 
 TEST(StatusMonitorTest, StageNamesAreDistinct) {

@@ -22,17 +22,7 @@ namespace {
 
 using ::mqa::testing::GraphHash;
 using ::mqa::testing::MakeClusteredStore;
-
-/// The clustered store re-laid out as two 8-dim modalities, so the
-/// weighted multi-vector kernel scores the joins.
-VectorStore TwoModalityStore() {
-  const VectorStore flat = MakeClusteredStore(800, 16, 8, /*seed=*/23);
-  VectorSchema schema;
-  schema.dims = {8, 8};
-  VectorStore store(schema);
-  for (uint32_t i = 0; i < flat.size(); ++i) (void)store.Add(flat.Row(i));
-  return store;
-}
+using ::mqa::testing::MakeTwoModalityStore;
 
 uint64_t FlatNNDescentHash() {
   const VectorStore store = MakeClusteredStore(1000, 16, 8, /*seed=*/7);
@@ -44,7 +34,7 @@ uint64_t FlatNNDescentHash() {
 }
 
 uint64_t WeightedNNDescentHash() {
-  const VectorStore store = TwoModalityStore();
+  const VectorStore store = MakeTwoModalityStore(800, /*seed=*/23);
   auto weighted = WeightedMultiDistance::Create(store.schema(), {0.7f, 0.3f});
   EXPECT_TRUE(weighted.ok());
   MultiVectorDistanceComputer dist(&store, *std::move(weighted),

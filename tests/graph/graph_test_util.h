@@ -2,6 +2,7 @@
 #define MQA_TESTS_GRAPH_GRAPH_TEST_UTIL_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -47,6 +48,17 @@ inline VectorStore MakeClusteredStore(uint32_t n, uint32_t dim,
   return store;
 }
 
+/// A clustered 16-dim store re-laid out as two 8-dim modalities, so the
+/// weighted multi-vector kernel scores it.
+inline VectorStore MakeTwoModalityStore(uint32_t n, uint64_t seed) {
+  const VectorStore flat = MakeClusteredStore(n, 16, 8, seed);
+  VectorSchema schema;
+  schema.dims = {8, 8};
+  VectorStore store(schema);
+  for (uint32_t i = 0; i < flat.size(); ++i) (void)store.Add(flat.Row(i));
+  return store;
+}
+
 /// Exact k-nearest neighbors by linear scan (L2).
 inline std::vector<Neighbor> ExactKnn(const VectorStore& store,
                                       const Vector& query, size_t k) {
@@ -55,6 +67,13 @@ inline std::vector<Neighbor> ExactKnn(const VectorStore& store,
     topk.Push(L2Sq(query.data(), store.data(i), store.row_dim()), i);
   }
   return topk.TakeSorted();
+}
+
+/// A node's neighbor list as a vector, for comparisons with ==.
+inline std::vector<uint32_t> NeighborList(const AdjacencyGraph& graph,
+                                          uint32_t node) {
+  const std::span<const uint32_t> nbrs = graph.neighbors(node);
+  return {nbrs.begin(), nbrs.end()};
 }
 
 /// FNV-1a (64-bit) over every node's degree and neighbor ids, in order:

@@ -11,6 +11,7 @@ namespace {
 
 using ::mqa::testing::ExactKnn;
 using ::mqa::testing::MakeClusteredStore;
+using ::mqa::testing::NeighborList;
 using ::mqa::testing::Recall;
 
 TEST(RobustPruneTest, KeepsClosestAndDiversifies) {
@@ -110,7 +111,7 @@ TEST(NNDescentTest, TinyStoreHandled) {
   auto graph = BuildNNDescentGraph(&dist, 8, 4, &rng);
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph->num_nodes(), 2u);
-  EXPECT_EQ(graph->neighbors(0), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(NeighborList(*graph, 0), (std::vector<uint32_t>{1}));
 }
 
 TEST(BuildGraphIndexTest, ValidatesConfig) {
@@ -249,7 +250,7 @@ TEST(BuildGraphIndexTest, DeterministicGivenSeed) {
       std::make_unique<FlatDistanceComputer>(&store, Metric::kL2));
   ASSERT_TRUE(a.ok() && b.ok());
   for (uint32_t u = 0; u < 300; ++u) {
-    EXPECT_EQ((*a)->graph().neighbors(u), (*b)->graph().neighbors(u));
+    EXPECT_EQ(NeighborList((*a)->graph(), u), NeighborList((*b)->graph(), u));
   }
 }
 

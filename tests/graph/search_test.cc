@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "graph/pipeline.h"
 #include "graph_test_util.h"
+#include "vector/multi_distance.h"
 
 namespace mqa {
 namespace {
 
 using ::mqa::testing::ExactKnn;
 using ::mqa::testing::MakeClusteredStore;
+using ::mqa::testing::MakeTwoModalityStore;
 using ::mqa::testing::Recall;
 
 TEST(BeamSearchTest, FindsExactNeighborsOnCompleteGraph) {
@@ -134,6 +141,87 @@ TEST(BeamSearchTest, WiderBeamNeverHurtsRecall) {
         BeamSearch(g, &dist, q.data(), {0}, 10, 200, nullptr), expected);
   }
   EXPECT_GE(wide_total, narrow_total);
+}
+
+/// Builds an mqa-hybrid index over `store`, scored by the weighted
+/// two-modality kernel (the MUST path).
+std::unique_ptr<GraphIndex> BuildWeightedIndex(const VectorStore& store,
+                                               uint64_t seed) {
+  auto weighted = WeightedMultiDistance::Create(store.schema(), {0.8f, 0.2f});
+  EXPECT_TRUE(weighted.ok());
+  GraphBuildConfig config;
+  config.max_degree = 12;
+  config.build_beam = 32;
+  config.nn_descent_k = 12;
+  config.seed = seed;
+  auto index = BuildGraphIndex(
+      config, &store,
+      std::make_unique<MultiVectorDistanceComputer>(
+          &store, *std::move(weighted), /*enable_pruning=*/true));
+  EXPECT_TRUE(index.ok());
+  return index.ok() ? std::move(index).Value() : nullptr;
+}
+
+TEST(BeamSearchConcurrencyTest, ThreadsSharingOneIndexMatchASequentialRun) {
+  // Two indexes of different sizes, so each thread's reused scratch moves
+  // between graphs; searches at several beams, some filtered.
+  const VectorStore big_store = MakeTwoModalityStore(1500, 51);
+  const VectorStore small_store = MakeTwoModalityStore(300, 52);
+  std::unique_ptr<GraphIndex> big = BuildWeightedIndex(big_store, 7);
+  std::unique_ptr<GraphIndex> small = BuildWeightedIndex(small_store, 8);
+  ASSERT_NE(big, nullptr);
+  ASSERT_NE(small, nullptr);
+
+  struct Task {
+    GraphIndex* index;
+    const float* query;
+    SearchParams params;
+  };
+  std::vector<Task> tasks;
+  for (uint32_t q = 0; q < 60; ++q) {
+    for (size_t beam : {8, 32, 96}) {
+      Task task{q % 3 == 0 ? small.get() : big.get(), nullptr, {}};
+      const VectorStore& store = q % 3 == 0 ? small_store : big_store;
+      task.query = store.data(q * 37 % store.size());
+      task.params.k = 10;
+      task.params.beam_width = beam;
+      if (q % 4 == 1) {
+        task.params.filter = [](uint32_t id) { return id % 3 != 0; };
+      }
+      tasks.push_back(task);
+    }
+  }
+  auto run = [](const Task& task) {
+    SearchStats stats;
+    auto found = task.index->Search(task.query, task.params, &stats);
+    EXPECT_TRUE(found.ok());
+    std::vector<Neighbor> out = found.ok() ? *found : std::vector<Neighbor>{};
+    out.push_back({0.0f, static_cast<uint32_t>(stats.hops)});
+    out.push_back({0.0f, static_cast<uint32_t>(stats.dist_comps)});
+    return out;
+  };
+  std::vector<std::vector<Neighbor>> expected;
+  for (const Task& task : tasks) expected.push_back(run(task));
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks every task three times, in its own seeded order.
+      Rng rng(100 + t);
+      const auto count = static_cast<uint32_t>(tasks.size());
+      for (int pass = 0; pass < 3; ++pass) {
+        for (uint32_t i : rng.Permutation(count)) {
+          if (run(tasks[i]) != expected[i]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
 }
 
 TEST(ApproximateMedoidTest, PicksCentralPoint) {

@@ -80,6 +80,24 @@ TEST(VectorStoreTest, LoadRejectsTruncated) {
   EXPECT_FALSE(VectorStore::Load(cut).ok());
 }
 
+TEST(VectorStoreTest, LoadRejectsAHugeRowCountWithoutAllocatingIt) {
+  // A header that claims 2^40 rows of 5 floats, and no rows.
+  std::string blob;
+  auto put = [&blob](const auto& v) {
+    blob.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  VectorStore store(TwoModality());
+  std::stringstream header;
+  ASSERT_TRUE(store.Save(header).ok());
+  blob = header.str();
+  blob.resize(blob.size() - sizeof(uint64_t));  // drop the row count
+  put(uint64_t{1} << 40);
+  std::stringstream in(blob);
+  auto loaded = VectorStore::Load(in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
 TEST(FlatDistanceComputerTest, ComputesMetricDistances) {
   VectorSchema s;
   s.dims = {2};
