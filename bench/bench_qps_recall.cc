@@ -50,29 +50,31 @@ struct DistanceCall {
 /// Forwards to a real distance computer and records every query distance.
 class RecordingDistance : public DistanceComputer {
  public:
-  RecordingDistance(DistanceComputer* base, std::vector<DistanceCall>* calls)
+  RecordingDistance(const DistanceComputer* base,
+                    std::vector<DistanceCall>* calls)
       : base_(base), calls_(calls) {}
 
-  float Distance(const float* q, uint32_t id, DistanceTally* tally) override {
-    const float d = base_->Distance(q, id, tally);
+  float Distance(const float* q, uint32_t id,
+                 DistanceContext* ctx) const override {
+    const float d = base_->Distance(q, id, ctx);
     calls_->push_back({id, kNoBound, d});
     return d;
   }
   float DistanceWithBound(const float* q, uint32_t id, float bound,
-                          DistanceTally* tally) override {
-    const float d = base_->DistanceWithBound(q, id, bound, tally);
+                          DistanceContext* ctx) const override {
+    const float d = base_->DistanceWithBound(q, id, bound, ctx);
     calls_->push_back({id, bound, d});
     return d;
   }
-  void Prefetch(uint32_t id) override { base_->Prefetch(id); }
-  float DistanceBetween(uint32_t a, uint32_t b) override {
+  void Prefetch(uint32_t id) const override { base_->Prefetch(id); }
+  float DistanceBetween(uint32_t a, uint32_t b) const override {
     return base_->DistanceBetween(a, b);
   }
   size_t dim() const override { return base_->dim(); }
   uint32_t size() const override { return base_->size(); }
 
  private:
-  DistanceComputer* base_;
+  const DistanceComputer* base_;
   std::vector<DistanceCall>* calls_;
 };
 
@@ -85,21 +87,21 @@ class ReplayDistance : public DistanceComputer {
     calls_ = calls;
     next_ = 0;
   }
-  float Distance(const float*, uint32_t, DistanceTally*) override {
+  float Distance(const float*, uint32_t, DistanceContext*) const override {
     return (*calls_)[next_++].value;
   }
   float DistanceWithBound(const float*, uint32_t, float,
-                          DistanceTally*) override {
+                          DistanceContext*) const override {
     return (*calls_)[next_++].value;
   }
-  float DistanceBetween(uint32_t, uint32_t) override { return 0.0f; }
+  float DistanceBetween(uint32_t, uint32_t) const override { return 0.0f; }
   size_t dim() const override { return 0; }
   uint32_t size() const override { return size_; }
 
  private:
   uint32_t size_;
   const std::vector<DistanceCall>* calls_ = nullptr;
-  size_t next_ = 0;
+  mutable size_t next_ = 0;  // one replay runs on one thread
 };
 
 /// MUST-E2's beam-64 decomposition: per-query microseconds of Retrieve, of
@@ -166,10 +168,10 @@ Result<Decomposition> DecomposeMust(RetrievalFramework* fw,
     replay_s.push_back(timer.ElapsedSeconds());
 
     timer.Reset();
-    DistanceTally tally;
+    DistanceContext ctx;
     for (size_t i = 0; i < queries.size(); ++i) {
       for (const DistanceCall& c : calls[i]) {
-        kernel.DistanceWithBound(flat[i].data(), c.id, c.bound, &tally);
+        kernel.DistanceWithBound(flat[i].data(), c.id, c.bound, &ctx);
       }
     }
     kernel_s.push_back(timer.ElapsedSeconds());

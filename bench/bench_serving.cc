@@ -8,7 +8,8 @@
 // completed/shed counts and latency percentiles (p50/p95/p99) of
 // completed turns. The saturation scenario keeps one turn outstanding per
 // session and reports turns/s at 1, 2 and 4 workers, plus the in-run
-// ratio of 4 workers to 1.
+// ratio of 4 workers to 1. The JSON config records the machine's hardware
+// thread count: with fewer than 4, four workers cannot run at once.
 
 #include <algorithm>
 #include <atomic>
@@ -246,7 +247,9 @@ int Run(const bench::BenchArgs& args) {
   // Floor above the queue capacity: the burst must overrun the queue and
   // demonstrate shedding at any --scale.
   const size_t burst_requests = bench::Scaled(400, args.scale, 100);
-  const size_t saturation_turns = bench::Scaled(500, args.scale, 20);
+  // The same at every --scale: 125 turns per session made a ~30 ms pass
+  // with 4 workers, too short for a stable 4-vs-1 ratio.
+  constexpr size_t kSaturationTurns = 500;
   constexpr size_t kSaturationSessions = 16;
 
   bench::Banner("Serving-E10: concurrent front end, open-loop arrivals (N = " +
@@ -314,7 +317,7 @@ int Run(const bench::BenchArgs& args) {
   // outstanding each, against a fresh server per worker count. The
   // scaling ratio is measured within this run, so machine speed cancels.
   std::printf("\nsaturation: %zu sessions x %zu turns, closed loop\n",
-              kSaturationSessions, saturation_turns);
+              kSaturationSessions, kSaturationTurns);
   bench::Table saturation({"workers", "turns/s", "failed"});
   std::map<size_t, double> turns_per_s;
   for (size_t workers : {1, 2, 4}) {
@@ -328,7 +331,7 @@ int Run(const bench::BenchArgs& args) {
     std::unique_ptr<Server> sized_server = std::move(sized_or).Value();
     SaturationLoop(sized_server.get(), kSaturationSessions, 4).Run();  // warm
     SaturationLoop loop(sized_server.get(), kSaturationSessions,
-                        saturation_turns);
+                        kSaturationTurns);
     turns_per_s[workers] = loop.Run();
     saturation.AddRow({std::to_string(workers),
                        FormatDouble(turns_per_s[workers], 0),
@@ -347,6 +350,8 @@ int Run(const bench::BenchArgs& args) {
     report.AddConfig("queue_capacity",
                      static_cast<double>(config.serving.queue_capacity));
     report.AddConfig("scale", args.scale);
+    report.AddConfig("hardware_threads",
+                     static_cast<double>(std::thread::hardware_concurrency()));
     AddScenarioMetrics(&report, "steady", steady);
     AddScenarioMetrics(&report, "burst", burst);
     for (const auto& [workers, rate] : turns_per_s) {

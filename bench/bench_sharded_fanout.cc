@@ -49,9 +49,11 @@ ScenarioResult RunScenario(RetrievalFramework* framework,
   double recall_sum = 0;
   Timer timer;
   for (size_t q = 0; q < queries.size(); ++q) {
-    auto result = framework->Retrieve(queries[q], params);
+    FanoutReport report;
+    auto result = sharded != nullptr
+                      ? sharded->Retrieve(queries[q], params, &report)
+                      : framework->Retrieve(queries[q], params);
     if (sharded != nullptr) {
-      const FanoutReport& report = sharded->last_report();
       for (const ShardOutcome& o : report.shards) {
         ++attempts;
         if (o.hedged) ++hedged;

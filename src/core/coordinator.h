@@ -75,9 +75,10 @@ class Coordinator {
 
   /// Ask() against caller-owned dialogue state. With distinct `state`
   /// objects this is safe to call from concurrent threads (the serving
-  /// path): all per-turn mutable state lives in `state`, and the
-  /// executor's SearchStage runs framework searches one at a time.
-  /// `state` must be non-null and externally serialized per conversation.
+  /// path): per-turn mutable state lives in `state`, and Retrieve is
+  /// re-entrant, so concurrent turns search at once. `state` must be
+  /// non-null and externally serialized per conversation. The mutating
+  /// operations below must not run alongside it.
   Result<AnswerTurn> AskWithState(const UserQuery& query,
                                   DialogueState* state);
 

@@ -1,6 +1,7 @@
 #include "core/query_executor.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -8,33 +9,12 @@
 
 namespace mqa {
 
-SearchStage::SearchStage(RetrievalFramework* framework)
-    : framework_(framework),
-      wait_ms_(MetricsRegistry::Global().GetHistogram(
-          "server/search_queue_wait_ms")) {}
-
-Result<RetrievalResult> SearchStage::Retrieve(const RetrievalQuery& query,
-                                              const SearchParams& params,
-                                              Clock* clock) {
-  const int64_t arrive_micros = clock->NowMicros();
-  MutexLock lock(&mu_);
-  wait_ms_->Record(static_cast<double>(clock->NowMicros() - arrive_micros) /
-                   1e3);
-  ++searches_;
-  return framework_->Retrieve(query, params);
-}
-
-BatcherStats SearchStage::stats() const {
-  MutexLock lock(&mu_);
-  return BatcherStats{searches_, searches_};
-}
-
 QueryExecutor::QueryExecutor(const KnowledgeBase* kb,
                              const EncoderSet* encoders,
-                             RetrievalFramework* framework)
+                             const RetrievalFramework* framework)
     : kb_(kb),
       encoders_(encoders),
-      search_(framework),
+      framework_(framework),
       executions_(MetricsRegistry::Global().GetCounter("query/executions")),
       hops_(MetricsRegistry::Global().GetCounter("query/hops")),
       dist_comps_(MetricsRegistry::Global().GetCounter("query/dist_comps")),
@@ -166,6 +146,21 @@ Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
       clock->NowMicros() >= query.deadline_micros) {
     return Status::DeadlineExceeded("query deadline expired before execution");
   }
+  // Per-query weights are checked once, here: the frameworks take them as
+  // given (MR multiplies by them, so a negative one would rank far objects
+  // first), and under sharding a NaN would fail every shard.
+  if (!query.weight_override.empty()) {
+    if (query.weight_override.size() != encoders_->num_modalities()) {
+      return Status::InvalidArgument(
+          "weight_override needs one weight per modality");
+    }
+    for (float w : query.weight_override) {
+      if (!std::isfinite(w) || w < 0.0f) {
+        return Status::InvalidArgument(
+            "weight_override entries must be finite and >= 0");
+      }
+    }
+  }
   QueryOutcome outcome;
   MQA_ASSIGN_OR_RETURN(RetrievalQuery rq,
                        EncodeUserQuery(query, &outcome.degradation));
@@ -182,8 +177,8 @@ Result<QueryOutcome> QueryExecutor::Execute(const UserQuery& query,
   }
   {
     Span retrieve_span("query/retrieve");
-    Result<RetrievalResult> retrieved =
-        search_.Retrieve(rq, effective, clock);
+    searches_.fetch_add(1, std::memory_order_relaxed);
+    Result<RetrievalResult> retrieved = framework_->Retrieve(rq, effective);
     if (retrieved.ok()) {
       outcome.retrieval = std::move(retrieved).Value();
     } else if (resilience_ && retrieved.status().IsRetryable() &&

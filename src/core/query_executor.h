@@ -1,6 +1,7 @@
 #ifndef MQA_CORE_QUERY_EXECUTOR_H_
 #define MQA_CORE_QUERY_EXECUTOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -10,7 +11,6 @@
 #include "common/metrics.h"
 #include "common/result.h"
 #include "common/retry.h"
-#include "common/sync.h"
 #include "encoder/encoder.h"
 #include "llm/prompt_builder.h"
 #include "retrieval/framework.h"
@@ -44,39 +44,13 @@ struct QueryOutcome {
   std::vector<std::string> degradation;
 };
 
-/// Cumulative counts of a SearchStage. Each search is its own batch, so
-/// both fields count the searches that passed the stage. The name is the
-/// one the cross-query batcher used before this stage replaced it; it
-/// stays because benchmark code reads it through Server::search_batcher().
+/// Cumulative search counts of a QueryExecutor. Each search is its own
+/// batch, so both fields count the executor's framework searches. The name
+/// is the one the cross-query batcher used; it stays because benchmark code
+/// reads it through Server::search_batcher().
 struct BatcherStats {
   uint64_t batches = 0;
   uint64_t items = 0;
-};
-
-/// Runs one executor's framework searches one at a time, each on the
-/// thread of the turn that issued it. RetrievalFramework::Retrieve is not
-/// re-entrant: MUST writes each query's weights into its shared distance
-/// and restores them, and the sharded layer records its last fan-out
-/// report. The wait to enter is recorded in the histogram
-/// "server/search_queue_wait_ms".
-class SearchStage {
- public:
-  explicit SearchStage(RetrievalFramework* framework);
-  SearchStage(const SearchStage&) = delete;
-  SearchStage& operator=(const SearchStage&) = delete;
-
-  /// framework->Retrieve(query, params) under the stage mutex; `clock`
-  /// times the wait.
-  Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
-                                   const SearchParams& params, Clock* clock);
-
-  BatcherStats stats() const;
-
- private:
-  RetrievalFramework* const framework_;
-  Histogram* const wait_ms_;
-  mutable Mutex mu_;
-  uint64_t searches_ MQA_GUARDED_BY(mu_) = 0;
 };
 
 /// The Query Execution component: encodes a user query into per-modality
@@ -85,13 +59,13 @@ class SearchStage {
 /// arrow in Figure 2) and runs the configured retrieval framework.
 ///
 /// Execute may be called from concurrent threads: the encoders hold no
-/// mutable state, and framework searches pass the SearchStage one at a
-/// time.
+/// mutable state, and RetrievalFramework::Retrieve is re-entrant, so every
+/// turn searches on its own thread at the same time as the others.
 class QueryExecutor {
  public:
   /// All pointers are borrowed and must outlive the executor.
   QueryExecutor(const KnowledgeBase* kb, const EncoderSet* encoders,
-                RetrievalFramework* framework);
+                const RetrievalFramework* framework);
 
   /// Enables degraded-mode encoding: transient encoder failures are
   /// retried under `retry` (driven by `clock`; null = SystemClock) and a
@@ -106,9 +80,11 @@ class QueryExecutor {
   /// clock so queue deadlines and executor deadlines share an epoch.
   void SetClock(Clock* clock) { clock_ = clock; }
 
-  /// Executes one round. Fails when the query carries no usable modality
-  /// or references an unknown object, and sheds with kDeadlineExceeded
-  /// when the query's deadline has already passed.
+  /// Executes one round. Fails with kInvalidArgument, before any encoder
+  /// runs, when `weight_override` is malformed (a length other than the
+  /// schema's, or a negative or non-finite entry); fails when the query
+  /// carries no usable modality or references an unknown object; and sheds
+  /// with kDeadlineExceeded when the query's deadline has already passed.
   Result<QueryOutcome> Execute(const UserQuery& query,
                                const SearchParams& params);
 
@@ -120,7 +96,11 @@ class QueryExecutor {
       const UserQuery& query,
       std::vector<std::string>* degradation = nullptr) const;
 
-  const SearchStage& search_stage() const { return search_; }
+  /// Framework searches issued so far (one relaxed atomic count).
+  BatcherStats stats() const {
+    const uint64_t n = searches_.load(std::memory_order_relaxed);
+    return BatcherStats{n, n};
+  }
 
  private:
   /// First schema slot of the given type, or nullopt.
@@ -131,7 +111,8 @@ class QueryExecutor {
 
   const KnowledgeBase* kb_;
   const EncoderSet* encoders_;
-  SearchStage search_;
+  const RetrievalFramework* const framework_;
+  std::atomic<uint64_t> searches_{0};
 
   Counter* const executions_;
   Counter* const hops_;

@@ -140,7 +140,7 @@ Result<std::unique_ptr<DiskGraphIndex>> DiskGraphIndex::Create(
   return index;
 }
 
-const char* DiskGraphIndex::FetchPage(size_t page, QueryIoState* io) {
+const char* DiskGraphIndex::FetchPage(size_t page, QueryIoState* io) const {
   {
     MutexLock lock(&cache_mu_);
     auto it = cached_.find(page);
@@ -211,11 +211,13 @@ DiskGraphIndex::NodeRecord DiskGraphIndex::ReadRecord(
 }
 
 Result<std::vector<Neighbor>> DiskGraphIndex::Search(
-    const float* query, const SearchParams& params, SearchStats* stats) {
+    const float* query, const SearchParams& params, SearchStats* stats) const {
   Span span("diskindex/search");
   if (params.k == 0) return Status::InvalidArgument("k must be > 0");
   if (num_nodes_ == 0) return Status::FailedPrecondition("empty index");
   const size_t beam_width = std::max(params.beam_width, params.k);
+  const WeightedMultiDistance& weighted =
+      params.distance != nullptr ? *params.distance : weighted_;
 
   std::vector<bool> visited(num_nodes_, false);
   // Distances already computed for visited nodes (block-aware scoring).
@@ -235,7 +237,7 @@ Result<std::vector<Neighbor>> DiskGraphIndex::Search(
 
   auto score = [&](uint32_t node, const char* page_data) {
     const NodeRecord rec = ReadRecord(node, page_data);
-    const float d = weighted_.Exact(query, rec.vector);
+    const float d = weighted.Exact(query, rec.vector);
     ++local.dist_comps;
     visited[node] = true;
     known_dist[node] = d;
@@ -253,7 +255,7 @@ Result<std::vector<Neighbor>> DiskGraphIndex::Search(
     // batched kernel, which prefetches each next pivot row.
     TopK best_pivots(4);
     std::vector<float> pivot_dists(pivot_ids_.size());
-    weighted_.ExactBatch(query, pivot_vectors_.data(), dim_,
+    weighted.ExactBatch(query, pivot_vectors_.data(), dim_,
                          pivot_ids_.size(), pivot_dists.data());
     for (size_t i = 0; i < pivot_ids_.size(); ++i) {
       ++local.dist_comps;

@@ -91,7 +91,7 @@ class DiskGraphIndex : public VectorIndex {
 
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params,
-                                       SearchStats* stats) override;
+                                       SearchStats* stats) const override;
 
   std::string name() const override { return "disk-" + config_.layout; }
   uint32_t size() const override { return num_nodes_; }
@@ -103,11 +103,8 @@ class DiskGraphIndex : public VectorIndex {
   const DiskIoStats& io_stats() const { return io_stats_; }
   void ResetIoStats() { io_stats_.Reset(); }
 
-  /// Replaces the modality weights of the on-disk distance (query-time
-  /// weight adjustment).
-  Status SetWeights(std::vector<float> weights) {
-    return weighted_.SetWeights(std::move(weights));
-  }
+  /// The default distance over the on-disk vectors; a query with its own
+  /// weights passes SearchParams::distance instead.
   const WeightedMultiDistance& weighted_distance() const {
     return weighted_;
   }
@@ -150,7 +147,7 @@ class DiskGraphIndex : public VectorIndex {
   /// may run concurrently on a shared index. The (possibly latency-
   /// injecting) simulated device read happens with cache_mu_ RELEASED, so
   /// one slow read never stalls concurrent cache hits.
-  const char* FetchPage(size_t page, QueryIoState* io)
+  const char* FetchPage(size_t page, QueryIoState* io) const
       MQA_EXCLUDES(cache_mu_);
 
   NodeRecord ReadRecord(uint32_t node, const char* page_data) const;
@@ -180,11 +177,11 @@ class DiskGraphIndex : public VectorIndex {
   // *contents* live in the immutable disk_ image, so returned pointers
   // stay valid across evictions.
   mutable Mutex cache_mu_;
-  std::list<size_t> lru_ MQA_GUARDED_BY(cache_mu_);
-  std::unordered_map<size_t, std::list<size_t>::iterator> cached_
+  mutable std::list<size_t> lru_ MQA_GUARDED_BY(cache_mu_);
+  mutable std::unordered_map<size_t, std::list<size_t>::iterator> cached_
       MQA_GUARDED_BY(cache_mu_);
 
-  DiskIoStats io_stats_;
+  mutable DiskIoStats io_stats_;
 };
 
 }  // namespace mqa

@@ -46,9 +46,9 @@ void HnswIndex::Insert(uint32_t id) {
   }
 
   const float* q = store_->data(id);
-  DistanceTally tally;
+  DistanceContext ctx;
   uint32_t cur = entry_point_;
-  float cur_dist = dist_->Distance(q, cur, &tally);
+  float cur_dist = dist_->Distance(q, cur, &ctx);
 
   // Greedy descent through layers above the insertion level.
   for (int layer = max_level_; layer > level; --layer) {
@@ -56,7 +56,7 @@ void HnswIndex::Insert(uint32_t id) {
     while (improved) {
       improved = false;
       for (uint32_t nbr : links_[cur][layer]) {
-        const float d = dist_->Distance(q, nbr, &tally);
+        const float d = dist_->Distance(q, nbr, &ctx);
         if (d < cur_dist) {
           cur = nbr;
           cur_dist = d;
@@ -70,7 +70,7 @@ void HnswIndex::Insert(uint32_t id) {
   for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
     std::vector<Neighbor> candidates =
         SearchLayer(q, cur, cur_dist, config_.ef_construction, layer,
-                    nullptr, &tally);
+                    nullptr, &ctx);
     const uint32_t m_max = layer == 0 ? config_.m * 2 : config_.m;
     std::vector<uint32_t> selected =
         SelectNeighbors(id, candidates, config_.m);
@@ -94,7 +94,7 @@ void HnswIndex::Insert(uint32_t id) {
     }
   }
 
-  dist_->AddTally(tally);
+  dist_->AddTally(ctx.tally);
   if (level > max_level_) {
     max_level_ = level;
     entry_point_ = id;
@@ -105,7 +105,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
                                              uint32_t entry, float entry_dist,
                                              size_t ef, int layer,
                                              SearchStats* stats,
-                                             DistanceTally* tally,
+                                             DistanceContext* ctx,
                                              const SearchFilter& filter,
                                              size_t k) const {
   std::vector<bool> visited(levels_.size(), false);
@@ -142,7 +142,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
     for (uint32_t nbr : to_score) {
       const float bound = beam.Full() ? beam.WorstDistance()
                                       : std::numeric_limits<float>::max();
-      const float d = dist_->DistanceWithBound(query, nbr, bound, tally);
+      const float d = dist_->DistanceWithBound(query, nbr, bound, ctx);
       if (stats != nullptr) ++stats->dist_comps;
       if (d > bound) continue;
       frontier.push({d, nbr});
@@ -190,20 +190,20 @@ std::vector<uint32_t> HnswIndex::SelectNeighbors(
 
 Result<std::vector<Neighbor>> HnswIndex::Search(const float* query,
                                                 const SearchParams& params,
-                                                SearchStats* stats) {
+                                                SearchStats* stats) const {
   if (params.k == 0) return Status::InvalidArgument("k must be > 0");
   if (levels_.empty()) return Status::FailedPrecondition("empty index");
 
-  DistanceTally tally;
+  DistanceContext ctx{params.distance, {}};
   uint32_t cur = entry_point_;
-  float cur_dist = dist_->Distance(query, cur, &tally);
+  float cur_dist = dist_->Distance(query, cur, &ctx);
   if (stats != nullptr) ++stats->dist_comps;
   for (int layer = max_level_; layer > 0; --layer) {
     bool improved = true;
     while (improved) {
       improved = false;
       for (uint32_t nbr : links_[cur][layer]) {
-        const float d = dist_->Distance(query, nbr, &tally);
+        const float d = dist_->Distance(query, nbr, &ctx);
         if (stats != nullptr) ++stats->dist_comps;
         if (d < cur_dist) {
           cur = nbr;
@@ -216,8 +216,8 @@ Result<std::vector<Neighbor>> HnswIndex::Search(const float* query,
   }
   std::vector<Neighbor> results = SearchLayer(
       query, cur, cur_dist, std::max(params.beam_width, params.k), 0, stats,
-      &tally, params.filter, params.k);
-  dist_->AddTally(tally);
+      &ctx, params.filter, params.k);
+  dist_->AddTally(ctx.tally);
   if (results.size() > params.k) results.resize(params.k);
   return results;
 }

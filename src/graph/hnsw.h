@@ -34,7 +34,7 @@ class HnswIndex : public VectorIndex {
 
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params,
-                                       SearchStats* stats) override;
+                                       SearchStats* stats) const override;
 
   std::string name() const override { return "hnsw"; }
   uint32_t size() const override {
@@ -73,11 +73,11 @@ class HnswIndex : public VectorIndex {
 
   /// Beam search restricted to one layer; returns up to `ef` closest,
   /// ascending. With a filter, only admitted ids are returned (the beam
-  /// still navigates over everything). Distances are counted in `tally`,
-  /// the calling search's.
+  /// still navigates over everything). Distances run in `ctx`, the calling
+  /// search's.
   std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
                                     float entry_dist, size_t ef, int layer,
-                                    SearchStats* stats, DistanceTally* tally,
+                                    SearchStats* stats, DistanceContext* ctx,
                                     const SearchFilter& filter = nullptr,
                                     size_t k = 0) const;
 

@@ -11,6 +11,8 @@
 
 namespace mqa {
 
+class WeightedMultiDistance;
+
 /// Predicate deciding whether a stored id may appear in the results.
 /// Filtered-out vertices are still traversed (they keep the graph
 /// navigable); they just cannot be returned.
@@ -19,11 +21,14 @@ using SearchFilter = std::function<bool(uint32_t)>;
 /// Per-query search knobs. `beam_width` (a.k.a. ef / L) trades accuracy for
 /// speed; searches return min(k, beam_width) results. `filter` (optional)
 /// restricts which ids are eligible as results — attribute-constrained
-/// search.
+/// search. `distance` (optional, borrowed) scores this query with its own
+/// modality weights instead of the index's default ones (MUST); it must
+/// match the index's vector schema.
 struct SearchParams {
   size_t k = 10;
   size_t beam_width = 64;
   SearchFilter filter;
+  const WeightedMultiDistance* distance = nullptr;
 };
 
 /// Per-query search counters (accumulated when a pointer is supplied).
@@ -60,6 +65,9 @@ struct SearchStats {
 
 /// The common query interface over every index in MQA (graphs, brute force,
 /// disk-resident). Queries are flattened vectors in the index's space.
+/// Search is const and safe from concurrent threads: a query owns what it
+/// writes (weights in `params`, counts in `stats`), and shared counters are
+/// atomic or mutex-guarded. Index writes must not run alongside it.
 class VectorIndex {
  public:
   virtual ~VectorIndex() = default;
@@ -67,7 +75,7 @@ class VectorIndex {
   /// k-nearest-neighbor search. Results are sorted ascending by distance.
   virtual Result<std::vector<Neighbor>> Search(const float* query,
                                                const SearchParams& params,
-                                               SearchStats* stats) = 0;
+                                               SearchStats* stats) const = 0;
 
   virtual std::string name() const = 0;
   virtual uint32_t size() const = 0;

@@ -66,12 +66,14 @@ size_t LowerBound(const std::vector<Candidate>& pool, const Candidate& c) {
 }  // namespace
 
 std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
-                                 DistanceComputer* dist, const float* query,
+                                 const DistanceComputer* dist,
+                                 const float* query,
                                  const std::vector<uint32_t>& entries,
                                  size_t k, size_t beam_width,
                                  SearchStats* stats,
                                  std::vector<Neighbor>* evaluated,
-                                 const SearchFilter& filter) {
+                                 const SearchFilter& filter,
+                                 const WeightedMultiDistance* weighted) {
   const uint32_t n = graph.num_nodes();
   const size_t width = std::max(beam_width, k);
   if (n == 0 || entries.empty() || width == 0) return {};
@@ -95,7 +97,7 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
   // the buffer steers navigation over every vertex.
   std::optional<TopK> admitted;
   if (filter) admitted.emplace(k);
-  DistanceTally tally;
+  DistanceContext ctx{weighted, {}};
   uint64_t hops = 0;
   uint64_t dist_comps = 0;
 
@@ -115,7 +117,7 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
   for (uint32_t e : entries) {
     if (e >= n || stamps[e] == epoch) continue;
     stamps[e] = epoch;
-    const float d = dist->Distance(query, e, &tally);
+    const float d = dist->Distance(query, e, &ctx);
     ++dist_comps;
     if (evaluated != nullptr) evaluated->push_back({d, e});
     offer(d, e);
@@ -148,14 +150,14 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
       const float bound = pool.size() >= width
                               ? pool[width - 1].distance
                               : std::numeric_limits<float>::max();
-      const float d = dist->DistanceWithBound(query, nbr, bound, &tally);
+      const float d = dist->DistanceWithBound(query, nbr, bound, &ctx);
       ++dist_comps;
       if (d > bound) continue;  // pruned: cannot enter the buffer
       if (evaluated != nullptr) evaluated->push_back({d, nbr});
       offer(d, nbr);
     }
   }
-  dist->AddTally(tally);
+  dist->AddTally(ctx.tally);
   if (stats != nullptr) {
     stats->hops += hops;
     stats->dist_comps += dist_comps;
@@ -170,7 +172,7 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
   return results;
 }
 
-uint32_t ApproximateMedoid(DistanceComputer* dist, Rng* rng,
+uint32_t ApproximateMedoid(const DistanceComputer* dist, Rng* rng,
                            uint32_t sample_size) {
   const uint32_t n = dist->size();
   if (n == 0) return 0;
@@ -194,7 +196,7 @@ uint32_t ApproximateMedoid(DistanceComputer* dist, Rng* rng,
 
 Result<std::vector<Neighbor>> GraphIndex::Search(const float* query,
                                                  const SearchParams& params,
-                                                 SearchStats* stats) {
+                                                 SearchStats* stats) const {
   Span span("graph/search");
   if (params.k == 0) return Status::InvalidArgument("k must be > 0");
   if (graph_.num_nodes() == 0) return Status::FailedPrecondition("empty index");
@@ -204,7 +206,8 @@ Result<std::vector<Neighbor>> GraphIndex::Search(const float* query,
   SearchStats local;
   std::vector<Neighbor> out =
       BeamSearch(graph_, dist_.get(), query, entry_points_, params.k,
-                 params.beam_width, &local, nullptr, params.filter);
+                 params.beam_width, &local, nullptr, params.filter,
+                 params.distance);
   static Counter* const searches =
       MetricsRegistry::Global().GetCounter("graph/searches");
   static Counter* const hops =
@@ -264,24 +267,25 @@ Result<std::unique_ptr<GraphIndex>> GraphIndex::Load(
 }
 
 Result<std::vector<Neighbor>> BruteForceIndex::Search(
-    const float* query, const SearchParams& params, SearchStats* stats) {
+    const float* query, const SearchParams& params,
+    SearchStats* stats) const {
   if (params.k == 0) return Status::InvalidArgument("k must be > 0");
   const uint32_t n = dist_->size();
   if (n == 0) return Status::FailedPrecondition("empty index");
   TopK topk(params.k);
-  DistanceTally tally;
+  DistanceContext ctx{params.distance, {}};
   for (uint32_t i = 0; i < n; ++i) {
     // The next row's fetch overlaps this row's arithmetic.
     if (i + 1 < n) dist_->Prefetch(i + 1);
     if (params.filter && !params.filter(i)) continue;
     const float bound = topk.Full() ? topk.WorstDistance()
                                     : std::numeric_limits<float>::max();
-    const float d = dist_->DistanceWithBound(query, i, bound, &tally);
+    const float d = dist_->DistanceWithBound(query, i, bound, &ctx);
     if (stats != nullptr) ++stats->dist_comps;
     if (d > bound) continue;
     topk.Push(d, i);
   }
-  dist_->AddTally(tally);
+  dist_->AddTally(ctx.tally);
   return topk.TakeSorted();
 }
 

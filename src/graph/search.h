@@ -20,8 +20,10 @@ namespace mqa {
 /// flagged once expanded (NSG's retset, DiskANN's NeighborPriorityQueue);
 /// ties are broken by NeighborLess. Distances go through
 /// `dist->DistanceWithBound`, so the incremental multi-vector scan prunes
-/// against the beam's current worst; they are counted in a tally local to
-/// the call and added to `dist` once, at the end (DistanceComputer::AddTally).
+/// against the beam's current worst. They run in a DistanceContext local
+/// to the call, which carries `weighted` (the query's own weighted
+/// distance; null = the computer's default), and its tally is added to
+/// `dist` once, at the end (DistanceComputer::AddTally).
 ///
 /// The visited table, the buffer and the to-score list are scratch reused
 /// by every search on the calling thread (a thread_local), so a search
@@ -36,17 +38,17 @@ namespace mqa {
 /// pools). `stats` may be null. When `filter` is set, filtered-out
 /// vertices are still traversed (they keep the graph navigable) but only
 /// admitted ids are returned.
-std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
-                                 DistanceComputer* dist, const float* query,
-                                 const std::vector<uint32_t>& entries,
-                                 size_t k, size_t beam_width,
-                                 SearchStats* stats,
-                                 std::vector<Neighbor>* evaluated = nullptr,
-                                 const SearchFilter& filter = nullptr);
+std::vector<Neighbor> BeamSearch(
+    const AdjacencyGraph& graph, const DistanceComputer* dist,
+    const float* query, const std::vector<uint32_t>& entries, size_t k,
+    size_t beam_width, SearchStats* stats,
+    std::vector<Neighbor>* evaluated = nullptr,
+    const SearchFilter& filter = nullptr,
+    const WeightedMultiDistance* weighted = nullptr);
 
 /// Approximate medoid: the sampled node minimizing total distance to a
 /// random sample. Deterministic given the rng seed.
-uint32_t ApproximateMedoid(DistanceComputer* dist, Rng* rng,
+uint32_t ApproximateMedoid(const DistanceComputer* dist, Rng* rng,
                            uint32_t sample_size = 128);
 
 /// A flat navigation-graph index (NSG / Vamana / KGraph / MQA-hybrid
@@ -63,7 +65,7 @@ class GraphIndex : public VectorIndex {
 
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params,
-                                       SearchStats* stats) override;
+                                       SearchStats* stats) const override;
 
   std::string name() const override { return name_; }
   uint32_t size() const override { return graph_.num_nodes(); }
@@ -100,7 +102,7 @@ class BruteForceIndex : public VectorIndex {
 
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params,
-                                       SearchStats* stats) override;
+                                       SearchStats* stats) const override;
 
   std::string name() const override { return "bruteforce"; }
   uint32_t size() const override { return dist_->size(); }

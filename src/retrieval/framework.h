@@ -41,14 +41,16 @@ struct RetrievalResult {
 /// A pluggable multi-modal retrieval framework (the paper compares MUST,
 /// MR and JE). Implementations own their derived vector stores and
 /// indexes; the shared encoded corpus outlives them via shared_ptr.
+/// Retrieve is const and re-entrant: a query owns what it writes (weights,
+/// tally, results) and shares only the index and atomic or mutex-guarded
+/// counters. Every other method is a write, never run during a Retrieve.
 class RetrievalFramework {
  public:
   virtual ~RetrievalFramework() = default;
 
-  /// Executes one retrieval round. Not thread-safe (search statistics and
-  /// weight overrides mutate internal state).
-  virtual Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
-                                           const SearchParams& params) = 0;
+  /// Executes one retrieval round. Safe to call from concurrent threads.
+  virtual Result<RetrievalResult> Retrieve(
+      const RetrievalQuery& query, const SearchParams& params) const = 0;
 
   virtual std::string name() const = 0;
 

@@ -24,8 +24,8 @@ Result<std::unique_ptr<JeFramework>> JeFramework::Create(
   return fw;
 }
 
-Result<RetrievalResult> JeFramework::Retrieve(const RetrievalQuery& query,
-                                              const SearchParams& params) {
+Result<RetrievalResult> JeFramework::Retrieve(
+    const RetrievalQuery& query, const SearchParams& params) const {
   if (query.modalities.parts.size() != schema().num_modalities()) {
     return Status::InvalidArgument("query modality count mismatch");
   }

@@ -20,7 +20,7 @@ class JeFramework : public RetrievalFramework {
       const IndexConfig& index_config);
 
   Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
-                                   const SearchParams& params) override;
+                                   const SearchParams& params) const override;
 
   std::string name() const override { return "je"; }
   const VectorSchema& schema() const override { return corpus_->schema(); }

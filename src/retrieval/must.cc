@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "diskindex/disk_index.h"
 #include "graph/hnsw.h"
 #include "graph/pipeline.h"
 
@@ -66,8 +67,7 @@ Result<std::unique_ptr<MustFramework>> MustFramework::Create(
                                    std::move(dist), report));
   // For disk-resident indexes the source distance computer is destroyed
   // with the temporary in-memory graph; the disk index owns its own copy.
-  fw->disk_ = dynamic_cast<DiskGraphIndex*>(fw->index_.get());
-  if (fw->disk_ == nullptr) fw->dist_ = dist_raw;
+  if (fw->SupportsLiveIngestion()) fw->dist_ = dist_raw;
   return fw;
 }
 
@@ -124,14 +124,8 @@ const DistanceStats& MustFramework::distance_stats() const {
   return dist_ != nullptr ? dist_->stats() : kEmpty;
 }
 
-Status MustFramework::ApplyWeights(const std::vector<float>& weights) {
-  if (dist_ != nullptr) return dist_->SetWeights(weights);
-  if (disk_ != nullptr) return disk_->SetWeights(weights);
-  return Status::Internal("no distance owner configured");
-}
-
-Result<RetrievalResult> MustFramework::Retrieve(const RetrievalQuery& query,
-                                                const SearchParams& params) {
+Result<RetrievalResult> MustFramework::Retrieve(
+    const RetrievalQuery& query, const SearchParams& params) const {
   std::vector<bool> present;
   MQA_ASSIGN_OR_RETURN(Vector flat,
                        FlattenQuery(schema(), query.modalities, &present));
@@ -148,22 +142,22 @@ Result<RetrievalResult> MustFramework::Retrieve(const RetrievalQuery& query,
   if (!any) {
     return Status::InvalidArgument("query has no present modality");
   }
-  MQA_RETURN_NOT_OK(ApplyWeights(NormalizeWeights(std::move(w))));
+  // This query's own scan: the index scores it with these weights and
+  // nothing shared is written, so concurrent queries cannot see them.
+  MQA_ASSIGN_OR_RETURN(
+      const WeightedMultiDistance weighted,
+      WeightedMultiDistance::Create(schema(), NormalizeWeights(std::move(w))));
+  SearchParams effective = WithoutTombstones(params);
+  effective.distance = &weighted;
 
   RetrievalResult result;
   // Measured through the injected Clock (not wall time) so MockClock tests
   // and injected latency spikes show up in retrieval timings.
   const int64_t start_micros = clock()->NowMicros();
-  const SearchParams effective = WithoutTombstones(params);
-  Result<std::vector<Neighbor>> found =
-      index_->Search(flat.data(), effective, &result.stats);
+  MQA_ASSIGN_OR_RETURN(result.neighbors,
+                       index_->Search(flat.data(), effective, &result.stats));
   result.latency_ms =
       static_cast<double>(clock()->NowMicros() - start_micros) / 1e3;
-  // Restore the build-time weights for subsequent callers on every path:
-  // after a failed search too, or the next live insert would link through
-  // this query's weights.
-  MQA_RETURN_NOT_OK(ApplyWeights(weights_));
-  MQA_ASSIGN_OR_RETURN(result.neighbors, std::move(found));
   return result;
 }
 
@@ -171,8 +165,14 @@ Status MustFramework::SetWeights(std::vector<float> weights) {
   if (weights.size() != schema().num_modalities()) {
     return Status::InvalidArgument("weights do not match corpus schema");
   }
-  weights_ = NormalizeWeights(std::move(weights));
-  return ApplyWeights(weights_);
+  std::vector<float> normalized = NormalizeWeights(std::move(weights));
+  // Checked before anything changes. Queries build their scan from weights_;
+  // the computer's defaults are what later inserts and compaction link by.
+  MQA_RETURN_NOT_OK(
+      WeightedMultiDistance::Create(schema(), normalized).status());
+  if (dist_ != nullptr) MQA_RETURN_NOT_OK(dist_->SetWeights(normalized));
+  weights_ = std::move(normalized);
+  return Status::OK();
 }
 
 Status MustFramework::Remove(uint32_t id) {
@@ -216,7 +216,6 @@ Status MustFramework::CompactTombstones(const std::vector<uint32_t>& remap,
   index_ = std::make_unique<GraphIndex>(flat->name(), std::move(compacted),
                                         std::move(dist), std::move(entries));
   dist_ = dist_raw;
-  disk_ = nullptr;
   ClearTombstones();
   return Status::OK();
 }

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "diskindex/disk_index.h"
 #include "retrieval/framework.h"
 
 namespace mqa {
@@ -14,7 +13,9 @@ namespace mqa {
 /// representation with learned modality weights, one unified navigation
 /// graph over all modalities, and *merging-free* search — a single graph
 /// traversal computes the weighted multi-vector distance with incremental
-/// scanning, instead of merging per-modality result lists.
+/// scanning, instead of merging per-modality result lists. The graph is
+/// built once; each query scores through its own WeightedMultiDistance,
+/// built from its weights and handed to the index in SearchParams.
 class MustFramework : public RetrievalFramework {
  public:
   /// Builds the unified index over the encoded corpus with the given
@@ -32,7 +33,7 @@ class MustFramework : public RetrievalFramework {
       std::istream* index_blob, bool enable_pruning = true);
 
   Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
-                                   const SearchParams& params) override;
+                                   const SearchParams& params) const override;
 
   std::string name() const override { return "must"; }
   const VectorSchema& schema() const override { return corpus_->schema(); }
@@ -79,17 +80,13 @@ class MustFramework : public RetrievalFramework {
  private:
   MustFramework() = default;
 
-  /// Routes a weight change to whoever owns the distance function.
-  Status ApplyWeights(const std::vector<float>& weights);
-
   std::shared_ptr<const VectorStore> corpus_;
   std::vector<float> weights_;
   bool pruning_ = true;
   std::unique_ptr<VectorIndex> index_;
-  // Exactly one of these is set, depending on the index kind; both are
-  // owned by index_ (or are index_ itself).
+  // The index's distance computer, owned by index_ (null for the
+  // disk-resident index, which keeps its own copy of the distance).
   MultiVectorDistanceComputer* dist_ = nullptr;
-  DiskGraphIndex* disk_ = nullptr;
 };
 
 }  // namespace mqa

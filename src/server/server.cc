@@ -74,9 +74,8 @@ Server::Server(std::unique_ptr<Coordinator> coordinator,
 
 Server::~Server() { Shutdown(); }
 
-const SearchStage* Server::search_batcher() const {
-  const QueryExecutor* executor = coordinator_->executor();
-  return executor != nullptr ? &executor->search_stage() : nullptr;
+const QueryExecutor* Server::search_batcher() const {
+  return coordinator_->executor();
 }
 
 uint64_t Server::OpenSession() {

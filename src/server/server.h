@@ -56,22 +56,22 @@ struct ServerStatsSnapshot {
 ///      and the executor aborts turns that expire mid-flight.
 ///
 /// Each worker runs its turn start to finish on its own thread through
-/// Coordinator::AskWithState: encoders are called directly, and the
-/// executor's SearchStage lets one framework search run at a time.
-/// Per-turn dialogue state (rewriter history, prompt history, result
-/// selection) lives in a per-session ServerSession, so concurrent
-/// sessions never share conversational state.
+/// Coordinator::AskWithState: encoders are called directly, and so is the
+/// re-entrant RetrievalFramework::Retrieve, so every worker searches at
+/// once over the shared read-only index. Per-turn dialogue state (rewriter
+/// history, prompt history, result selection) lives in a per-session
+/// ServerSession, so concurrent sessions never share conversational state.
 ///
 /// Lock ordering (see DESIGN.md "Serving"): Server::mu_ (the session map)
 /// is never held across a turn; a worker holds one ServerSession::mu for
-/// the whole turn and acquires the SearchStage mutex and the breaker's
-/// internal mutex strictly inside it. Nothing under a search takes a
-/// session lock.
+/// the whole turn and takes leaf locks (the status monitor's, the breaker's,
+/// the disk page cache's) strictly inside it. Nothing takes a session lock
+/// under a turn.
 ///
 /// Thread-safe. While a Server is serving, do not call mutating
 /// Coordinator operations (SetFramework, SetWeights, IngestObject,
-/// ResetDialogue) directly — they swap the executor/framework under the
-/// workers.
+/// ResetDialogue) directly — they write the index, the weights or the
+/// executor under the workers.
 class Server {
  public:
   /// Builds the full system from `config` (Coordinator::Create) and
@@ -131,10 +131,10 @@ class Server {
   Result<std::vector<RetrievedItem>> LastResults(uint64_t session_id) const;
   Result<size_t> DialogueHistorySize(uint64_t session_id) const;
 
-  /// The current executor's search stage (null in LLM-only mode). The
-  /// name is the one the cross-query batcher had; benchmarks read its
-  /// stats().
-  const SearchStage* search_batcher() const;
+  /// The current executor, whose stats() count its searches (null in
+  /// LLM-only mode). The name is the one the cross-query batcher had;
+  /// benchmarks read it.
+  const QueryExecutor* search_batcher() const;
 
  private:
   /// Per-session conversational state. `mu` serializes the session's

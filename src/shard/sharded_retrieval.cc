@@ -270,7 +270,7 @@ void ShardedRetrieval::RunShardAttempt(size_t shard_index,
                                        const RetrievalQuery& query,
                                        const SearchParams& params,
                                        int64_t budget_micros,
-                                       ShardAttempt* out) {
+                                       ShardAttempt* out) const {
   Shard& shard = *shards_[shard_index];
   Clock* clk = clock();
 
@@ -372,7 +372,8 @@ void ShardedRetrieval::RunShardAttempt(size_t shard_index,
 }
 
 Result<RetrievalResult> ShardedRetrieval::Retrieve(
-    const RetrievalQuery& query, const SearchParams& params) {
+    const RetrievalQuery& query, const SearchParams& params,
+    FanoutReport* report) const {
   Span span("shard/fanout");
   fanouts_->Increment();
   Clock* clk = clock();
@@ -430,11 +431,8 @@ Result<RetrievalResult> ShardedRetrieval::Retrieve(
   RetrievalResult merged;
   TopK topk(params.k);
   size_t ok_count = 0;
-  FanoutReport report;
-  report.shards.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     ShardAttempt& attempt = attempts[s];
-    report.shards.push_back(attempt.outcome);
     if (attempt.outcome.kind != ShardOutcomeKind::kOk) continue;
     ++ok_count;
     merged.stats.Merge(attempt.result.stats);
@@ -448,8 +446,13 @@ Result<RetrievalResult> ShardedRetrieval::Retrieve(
       topk.Push(n.distance, gid);
     }
   }
-  report.ok_count = ok_count;
-  last_report_ = std::move(report);
+  if (report != nullptr) {
+    report->shards.clear();
+    for (ShardAttempt& attempt : attempts) {
+      report->shards.push_back(std::move(attempt.outcome));
+    }
+    report->ok_count = ok_count;
+  }
   merged.stats.shards_total = static_cast<uint32_t>(num_shards);
   merged.stats.shards_ok = static_cast<uint32_t>(ok_count);
 

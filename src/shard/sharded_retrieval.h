@@ -28,8 +28,8 @@ enum class ShardOutcomeKind {
 
 const char* ShardOutcomeKindToString(ShardOutcomeKind kind);
 
-/// Per-shard record of the most recent fan-out (tests and benches assert
-/// on these instead of on process-global metrics).
+/// Per-shard record of one fan-out (tests and benches assert on these
+/// instead of on process-global metrics).
 struct ShardOutcome {
   ShardOutcomeKind kind = ShardOutcomeKind::kOk;
   double latency_ms = 0.0;  ///< effective latency (hedge-adjusted)
@@ -66,12 +66,14 @@ struct FanoutReport {
 ///    in time. Missing shards surface as stats.shards_ok < shards_total
 ///    (a degradation note upstream), never as silently truncated results.
 ///
-/// Thread-safety: like every RetrievalFramework, Retrieve is not
-/// thread-safe (callers serialize, e.g. the executor's SearchStage). The
-/// internal fan-out pool is an implementation detail; per-query completion
-/// is tracked with a function-local Mutex/CondVar (a leaf in the lock
-/// hierarchy: no other lock is ever held while it is acquired, and shard
-/// attempts acquire it only after all retrieval work is done).
+/// Thread-safety: like every RetrievalFramework, Retrieve is const and
+/// re-entrant. Concurrent fan-outs share the pool, the (re-entrant) shard
+/// frameworks, the breakers (mutex-guarded) and latency histograms
+/// (atomic); per-shard outcomes go to the caller's FanoutReport.
+/// Per-query completion is tracked with a function-local Mutex/CondVar (a
+/// leaf in the lock hierarchy: no other lock is ever held while it is
+/// acquired, and shard attempts acquire it only after all retrieval work
+/// is done).
 class ShardedRetrieval : public RetrievalFramework {
  public:
   /// Partitions `corpus`, builds one `framework_name` framework per shard
@@ -90,7 +92,16 @@ class ShardedRetrieval : public RetrievalFramework {
   /// than quorum shards responded; otherwise the merged result, with
   /// stats.shards_total/shards_ok recording coverage.
   Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
-                                   const SearchParams& params) override;
+                                   const SearchParams& params) const override {
+    return Retrieve(query, params, nullptr);
+  }
+
+  /// Retrieve, also filling `report` (when non-null) with this fan-out's
+  /// per-shard accounting, quorum met or not (untouched when the deadline
+  /// had passed before anything was fanned out).
+  Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
+                                   const SearchParams& params,
+                                   FanoutReport* report) const;
 
   std::string name() const override { return "sharded:" + inner_name_; }
   const VectorSchema& schema() const override { return corpus_->schema(); }
@@ -135,11 +146,6 @@ class ShardedRetrieval : public RetrievalFramework {
     return shards_[shard]->breaker->state();
   }
 
-  /// Per-shard accounting of the most recent Retrieve. Valid on the
-  /// calling thread until the next Retrieve (same non-thread-safe contract
-  /// as Retrieve itself).
-  const FanoutReport& last_report() const { return last_report_; }
-
  private:
   /// One fault domain: an independent slice of the corpus with its own
   /// framework, breaker, latency histogram and metrics.
@@ -169,7 +175,7 @@ class ShardedRetrieval : public RetrievalFramework {
   /// sequence. Never touches state shared with other shards.
   void RunShardAttempt(size_t shard_index, const RetrievalQuery& query,
                        const SearchParams& params, int64_t budget_micros,
-                       ShardAttempt* out);
+                       ShardAttempt* out) const;
 
   ShardOptions options_;
   std::string inner_name_;  ///< the per-shard framework name ("must", ...)
@@ -179,7 +185,6 @@ class ShardedRetrieval : public RetrievalFramework {
   /// Global id -> (shard index, local row id); grows with live ingestion.
   std::vector<std::pair<uint32_t, uint32_t>> owner_;
   std::unique_ptr<ThreadPool> fanout_pool_;
-  FanoutReport last_report_;
 
   // Aggregate metrics (process-global; resolved once at Create).
   Counter* fanouts_ = nullptr;

@@ -82,28 +82,11 @@ void WeightedMultiDistance::BuildScan() {
   std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
     return weights_[a] > weights_[b];
   });
-  scan_offsets_.clear();
-  scan_dims_.clear();
-  scan_weights_.clear();
   for (size_t m : order) {
     scan_offsets_.push_back(schema_.OffsetOf(m));
     scan_dims_.push_back(schema_.dims[m]);
     scan_weights_.push_back(weights_[m]);
   }
-}
-
-Status WeightedMultiDistance::SetWeights(std::vector<float> weights) {
-  if (weights.size() != weights_.size()) {
-    return Status::InvalidArgument("weights size does not match schema");
-  }
-  for (float w : weights) {
-    if (w < 0.0f || !std::isfinite(w)) {
-      return Status::InvalidArgument("modality weights must be finite and >= 0");
-    }
-  }
-  weights_ = std::move(weights);
-  BuildScan();
-  return Status::OK();
 }
 
 Result<Vector> FlattenMultiVector(const VectorSchema& schema,

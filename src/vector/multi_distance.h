@@ -111,14 +111,10 @@ class WeightedMultiDistance {
   const VectorSchema& schema() const { return schema_; }
   const std::vector<float>& weights() const { return weights_; }
 
-  /// Replaces the modality weights (e.g. after weight learning or a user
-  /// override at query time). Size must match; values must be >= 0.
-  Status SetWeights(std::vector<float> weights);
-
  private:
   WeightedMultiDistance(VectorSchema schema, std::vector<float> weights);
 
-  /// Rebuilds the scan arrays from weights_.
+  /// Builds the scan arrays from weights_.
   void BuildScan();
 
   VectorSchema schema_;
@@ -128,6 +124,15 @@ class WeightedMultiDistance {
   std::vector<size_t> scan_offsets_;
   std::vector<uint32_t> scan_dims_;
   std::vector<float> scan_weights_;
+};
+
+/// What one search carries into each of its distance calls: the query's own
+/// weighted distance (null = the computer's default; it must use the
+/// computer's schema) and the search's tally, which the search hands to
+/// DistanceComputer::AddTally once. Each search owns its context.
+struct DistanceContext {
+  const WeightedMultiDistance* weighted = nullptr;
+  DistanceTally tally;
 };
 
 /// Flattens a MultiVector into one contiguous buffer in schema order.

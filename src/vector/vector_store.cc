@@ -9,6 +9,9 @@ namespace mqa {
 namespace {
 
 constexpr uint32_t kStoreMagic = 0x4d514156;  // "MQAV"
+/// Widest row the format accepts, in floats (16 MiB). A header naming a
+/// wider row is corrupt: Load would size a row from it before reading any.
+constexpr uint64_t kMaxRowFloats = uint64_t{1} << 22;
 
 template <typename T>
 void WritePod(std::ostream& out, const T& v) {
@@ -66,11 +69,20 @@ Result<VectorStore> VectorStore::Load(std::istream& in) {
   }
   VectorSchema schema;
   schema.dims.resize(num_m);
+  uint64_t row_floats = 0;
   for (auto& d : schema.dims) {
     if (!ReadPod(in, &d)) return Status::IoError("truncated schema");
+    // A zero dim reads zero bytes per row, so no row count would ever
+    // meet the truncation check below.
+    if (d == 0) return Status::IoError("zero modality dimension");
+    row_floats += d;
+  }
+  if (row_floats > kMaxRowFloats) {
+    return Status::IoError("row wider than the format allows");
   }
   uint64_t n = 0;
   if (!ReadPod(in, &n)) return Status::IoError("truncated row count");
+  if (n > UINT32_MAX) return Status::IoError("row count exceeds the id range");
   VectorStore store(schema);
   // The buffer grows row by row as rows arrive, so a corrupt count meets
   // the truncation check instead of one allocation of its size.

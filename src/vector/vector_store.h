@@ -76,57 +76,59 @@ class VectorStore {
 };
 
 /// Query-to-stored-vector distance abstraction used by all graph searches.
-/// Implementations may prune with a bound and may accumulate statistics, so
-/// the methods are non-const. Query distances are counted in the calling
-/// search's own DistanceTally (null = not counted); the search hands the
-/// finished tally to AddTally once, so a shared computer is written once
-/// per search, not once per distance.
+/// The query-side methods are const and safe to call from concurrent
+/// searches: everything one search writes lives in its own
+/// DistanceContext (null = default weights, not counted), and the search
+/// hands its finished tally to AddTally once, so a shared computer is
+/// written once per search, not once per distance.
 class DistanceComputer {
  public:
   virtual ~DistanceComputer() = default;
 
   /// Exact distance from query `q` (flattened, row_dim floats) to row `id`.
   virtual float Distance(const float* q, uint32_t id,
-                         DistanceTally* tally) = 0;
+                         DistanceContext* ctx) const = 0;
 
   /// Distance with an early-abandon bound. May return any value > bound
   /// when the true distance exceeds `bound`.
   virtual float DistanceWithBound(const float* q, uint32_t id, float bound,
-                                  DistanceTally* tally) {
+                                  DistanceContext* ctx) const {
     (void)bound;
-    return Distance(q, id, tally);
+    return Distance(q, id, ctx);
   }
 
   /// Adds one finished search's tally to the running statistics.
-  virtual void AddTally(const DistanceTally& tally) { (void)tally; }
+  virtual void AddTally(const DistanceTally& tally) const { (void)tally; }
 
   /// Hints that row `id` will be scored soon.
-  virtual void Prefetch(uint32_t id) { (void)id; }
+  virtual void Prefetch(uint32_t id) const { (void)id; }
 
   /// Exact distance between two stored rows (used at build time; not
   /// counted).
-  virtual float DistanceBetween(uint32_t a, uint32_t b) = 0;
+  virtual float DistanceBetween(uint32_t a, uint32_t b) const = 0;
 
   virtual size_t dim() const = 0;
   virtual uint32_t size() const = 0;
 };
 
 /// Single-vector distance over a store with a standard metric — the path
-/// used by JE and by per-modality MR indexes.
+/// used by JE and by per-modality MR indexes (no weights: it ignores
+/// DistanceContext::weighted).
 class FlatDistanceComputer : public DistanceComputer {
  public:
   FlatDistanceComputer(const VectorStore* store, Metric metric)
       : store_(store), metric_(metric) {}
 
-  float Distance(const float* q, uint32_t id, DistanceTally* tally) override {
-    (void)tally;
+  float Distance(const float* q, uint32_t id,
+                 DistanceContext* ctx) const override {
+    (void)ctx;
     return ComputeDistance(metric_, q, store_->data(id), store_->row_dim());
   }
-  float DistanceBetween(uint32_t a, uint32_t b) override {
+  float DistanceBetween(uint32_t a, uint32_t b) const override {
     return ComputeDistance(metric_, store_->data(a), store_->data(b),
                            store_->row_dim());
   }
-  void Prefetch(uint32_t id) override {
+  void Prefetch(uint32_t id) const override {
     const char* row = reinterpret_cast<const char*>(store_->data(id));
     const size_t bytes = store_->row_dim() * sizeof(float);
     for (size_t b = 0; b < bytes; b += kSimdAlignment) PrefetchRead(row + b);
@@ -142,32 +144,35 @@ class FlatDistanceComputer : public DistanceComputer {
 /// Weighted multi-vector distance with incremental-scanning pruning — the
 /// MUST path. Accumulates DistanceStats for the pruning ablation from the
 /// searches' tallies. Every query distance is one
-/// WeightedMultiDistance::Pruned call: with pruning off, or for Distance,
-/// the bound is +inf and the call is exact, so the distances (and results)
-/// are the same with pruning on and off.
+/// WeightedMultiDistance::Pruned call, through the context's per-query
+/// distance when it has one and the default one otherwise: with pruning
+/// off, or for Distance, the bound is +inf and the call is exact, so the
+/// distances (and results) are the same with pruning on and off.
 class MultiVectorDistanceComputer : public DistanceComputer {
  public:
   MultiVectorDistanceComputer(const VectorStore* store,
                               WeightedMultiDistance dist, bool enable_pruning)
       : store_(store), dist_(std::move(dist)), pruning_(enable_pruning) {}
 
-  float Distance(const float* q, uint32_t id, DistanceTally* tally) override {
-    return dist_.Pruned(q, store_->data(id), kNoBound, tally);
+  float Distance(const float* q, uint32_t id,
+                 DistanceContext* ctx) const override {
+    return Score(q, id, kNoBound, ctx);
   }
 
   float DistanceWithBound(const float* q, uint32_t id, float bound,
-                          DistanceTally* tally) override {
-    return dist_.Pruned(q, store_->data(id), pruning_ ? bound : kNoBound,
-                        tally);
+                          DistanceContext* ctx) const override {
+    return Score(q, id, pruning_ ? bound : kNoBound, ctx);
   }
 
-  void AddTally(const DistanceTally& tally) override { stats_.Add(tally); }
+  void AddTally(const DistanceTally& tally) const override {
+    stats_.Add(tally);
+  }
 
-  float DistanceBetween(uint32_t a, uint32_t b) override {
+  float DistanceBetween(uint32_t a, uint32_t b) const override {
     return dist_.Exact(store_->data(a), store_->data(b));
   }
 
-  void Prefetch(uint32_t id) override {
+  void Prefetch(uint32_t id) const override {
     const char* row = reinterpret_cast<const char*>(store_->data(id));
     const size_t bytes = store_->row_dim() * sizeof(float);
     for (size_t b = 0; b < bytes; b += kSimdAlignment) PrefetchRead(row + b);
@@ -179,15 +184,30 @@ class MultiVectorDistanceComputer : public DistanceComputer {
   const DistanceStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
   const WeightedMultiDistance& weighted_distance() const { return dist_; }
+
+  /// Replaces the default weights, which builds, live inserts and searches
+  /// without their own distance score with. A write: never during a search.
   Status SetWeights(std::vector<float> w) {
-    return dist_.SetWeights(std::move(w));
+    MQA_ASSIGN_OR_RETURN(dist_,
+                         WeightedMultiDistance::Create(dist_.schema(),
+                                                       std::move(w)));
+    return Status::OK();
   }
 
  private:
+  float Score(const float* q, uint32_t id, float bound,
+              DistanceContext* ctx) const {
+    const float* row = store_->data(id);
+    if (ctx == nullptr) return dist_.Pruned(q, row, bound, nullptr);
+    const WeightedMultiDistance& d =
+        ctx->weighted != nullptr ? *ctx->weighted : dist_;
+    return d.Pruned(q, row, bound, &ctx->tally);
+  }
+
   const VectorStore* store_;
   WeightedMultiDistance dist_;
   bool pruning_;
-  DistanceStats stats_;
+  mutable DistanceStats stats_;
 };
 
 }  // namespace mqa

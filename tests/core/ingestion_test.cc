@@ -39,9 +39,9 @@ TEST(IngestionTest, NewObjectIsRetrievableImmediately) {
 }
 
 TEST(IngestionTest, FailedSearchLeavesNoQueryWeightsForTheNextInsert) {
-  // MUST installs a query's weights for its search and restores the
-  // build-time weights afterwards. A search that fails must restore them
-  // too: the next live insert links through the same distance.
+  // A MUST query scores through its own weighted distance; a search that
+  // fails must leave nothing of its weights behind either, because the
+  // next live insert links through the framework's default distance.
   MqaConfig config = SmallConfig();
   config.corpus_size = 300;
   auto failed = Coordinator::Create(config);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/experiment.h"
 #include "retrieval/factory.h"
 #include "vector/distance.h"
@@ -133,6 +135,34 @@ TEST_F(QueryExecutorTest, WeightOverridePassesThrough) {
   auto rq = executor_->EncodeUserQuery(query);
   ASSERT_TRUE(rq.ok());
   EXPECT_EQ(rq->weights, (std::vector<float>{0.2f, 1.8f}));
+}
+
+TEST_F(QueryExecutorTest, MalformedWeightOverrideIsRejectedBeforeEncoding) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> malformed = {
+      {1.0f, -1.0f}, {nan, 1.0f}, {1.0f, inf}, {1.0f}, {1.0f, 1.0f, 1.0f}};
+  const BatcherStats before = executor_->stats();
+  for (const std::vector<float>& weights : malformed) {
+    UserQuery query;
+    query.text = "find " + corpus_->world->ConceptName(2);
+    query.weight_override = weights;
+    auto outcome = executor_->Execute(query, SearchParams{});
+    ASSERT_FALSE(outcome.ok()) << weights.size() << " weights";
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+    // Checked before any encoder runs: an unknown selection, which
+    // encoding would report as kNotFound, is never looked at.
+    query.selected_object = 1u << 30;
+    EXPECT_EQ(executor_->Execute(query, SearchParams{}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(executor_->stats().items, before.items);
+
+  UserQuery valid;
+  valid.text = "find " + corpus_->world->ConceptName(2);
+  valid.weight_override = {0.0f, 3.0f};
+  EXPECT_TRUE(executor_->Execute(valid, SearchParams{}).ok());
+  EXPECT_EQ(executor_->stats().items, before.items + 1);
 }
 
 TEST(DescribeObjectTest, IncludesIdAndTexts) {

@@ -126,7 +126,7 @@ TEST_F(FrameworksTest, MustQueryWeightOverrideChangesResults) {
   }
   EXPECT_GT(text_c0, 5u);
   EXPECT_GT(image_other, 5u);
-  // After the overrides, the framework's default weights are restored.
+  // The overrides never touch the framework's default weights.
   EXPECT_EQ((*fw)->weights().size(), 2u);
 }
 

@@ -159,10 +159,10 @@ TEST_F(SessionIsolationTest, ConcurrentSessionsMatchSequentialReference) {
   // produce bit-identical retrieval results (ids and distances) whether
   // they run interleaved through the server or sequentially against a
   // fresh identically-configured system. Each session skews its own
-  // modality weights (one modality at 4x, alternating), and MUST writes a
-  // query's weights into the distance it shares with every other search,
-  // so a lost serialization of searches shows up here (and as a race
-  // under TSan).
+  // modality weights (one modality at 4x, alternating), and every MUST
+  // query scores through its own weighted distance, so a search that
+  // wrote its weights into shared state would show up here (and as a
+  // race under TSan).
   constexpr size_t kSessions = 6;
   constexpr size_t kTurns = 4;
   auto make_query = [](const Coordinator& c, size_t s) {

@@ -123,11 +123,10 @@ TEST_F(ServerStressTest, EveryTurnOfEverySessionCompletes) {
 }
 
 TEST_F(ServerStressTest, CrossQueryBatchingCoalescedWork) {
-  // Push 24 concurrent turns through the 4 workers; every one of their
-  // searches must pass the executor's SearchStage, each as its own batch
-  // (the stats keep the batcher's names). Stats are asserted as deltas so
-  // the test is self-contained under ctest's one-process-per-test
-  // execution.
+  // Push 24 concurrent turns through the 4 workers; the executor must
+  // count every one of their searches, each as its own batch (the stats
+  // keep the batcher's names). Stats are asserted as deltas so the test is
+  // self-contained under ctest's one-process-per-test execution.
   ASSERT_NE(server_->search_batcher(), nullptr);
   const BatcherStats before = server_->search_batcher()->stats();
 

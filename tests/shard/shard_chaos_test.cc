@@ -95,12 +95,12 @@ TEST_F(ShardChaosTest, KillingKOfNShardsDegradesWithExactAccounting) {
   ScopedFault f0("shard/0/search");
   ScopedFault f1("shard/1/search");
 
-  auto result = (*fw)->Retrieve(Query(0), Params());
+  FanoutReport report;
+  auto result = (*fw)->Retrieve(Query(0), Params(), &report);
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_EQ(result->stats.shards_total, 4u);
   EXPECT_EQ(result->stats.shards_ok, 2u);
 
-  const FanoutReport& report = (*fw)->last_report();
   ASSERT_EQ(report.shards.size(), 4u);
   EXPECT_EQ(report.ok_count, 2u);
   EXPECT_EQ(report.shards[0].kind, ShardOutcomeKind::kError);
@@ -129,11 +129,13 @@ TEST_F(ShardChaosTest, MissedQuorumFailsWithUnavailable) {
   ScopedFault f1("shard/1/search");
   ScopedFault f2("shard/2/search");
 
-  auto result = (*fw)->Retrieve(Query(1), Params());
+  FanoutReport report;
+  auto result = (*fw)->Retrieve(Query(1), Params(), &report);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(result.status().message().find("quorum"), std::string::npos);
-  EXPECT_EQ((*fw)->last_report().ok_count, 0u);
+  EXPECT_EQ(report.shards.size(), 3u);
+  EXPECT_EQ(report.ok_count, 0u);
 }
 
 TEST_F(ShardChaosTest, BreakerIsolatesFlappingShardAndRecovers) {
@@ -147,26 +149,27 @@ TEST_F(ShardChaosTest, BreakerIsolatesFlappingShardAndRecovers) {
   {
     ScopedFault flap("shard/1/search");
     for (int i = 0; i < 2; ++i) {
-      ASSERT_TRUE((*fw)->Retrieve(Query(2), Params()).ok());
-      EXPECT_EQ((*fw)->last_report().shards[1].kind,
-                ShardOutcomeKind::kError);
+      FanoutReport report;
+      ASSERT_TRUE((*fw)->Retrieve(Query(2), Params(), &report).ok());
+      EXPECT_EQ(report.shards[1].kind, ShardOutcomeKind::kError);
     }
     EXPECT_EQ((*fw)->shard_breaker_state(1), BreakerState::kOpen);
 
     // While open the shard is skipped outright: the fault point is not
     // even consulted — no retry pressure on the known-bad domain.
-    ASSERT_TRUE((*fw)->Retrieve(Query(2), Params()).ok());
-    EXPECT_EQ((*fw)->last_report().shards[1].kind,
-              ShardOutcomeKind::kBreakerOpen);
+    FanoutReport report;
+    ASSERT_TRUE((*fw)->Retrieve(Query(2), Params(), &report).ok());
+    EXPECT_EQ(report.shards[1].kind, ShardOutcomeKind::kBreakerOpen);
     EXPECT_EQ(FaultInjector::Global().stats("shard/1/search").fires, 2u);
   }
 
   // Shard healed + cool-down elapsed: the half-open probe succeeds and the
   // shard rejoins the merge.
   clock_.AdvanceMillis(150.0);
-  auto result = (*fw)->Retrieve(Query(2), Params());
+  FanoutReport report;
+  auto result = (*fw)->Retrieve(Query(2), Params(), &report);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ((*fw)->last_report().shards[1].kind, ShardOutcomeKind::kOk);
+  EXPECT_EQ(report.shards[1].kind, ShardOutcomeKind::kOk);
   EXPECT_EQ((*fw)->shard_breaker_state(1), BreakerState::kClosed);
   EXPECT_EQ(result->stats.shards_ok, 3u);
 }
@@ -181,8 +184,9 @@ TEST_F(ShardChaosTest, HedgeFiresOnInjectedLatencySpike) {
   // Warm the per-shard latency histograms past hedge_min_samples; on the
   // MockClock every clean attempt takes exactly 0 virtual ms.
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE((*fw)->Retrieve(Query(3), Params()).ok());
-    EXPECT_FALSE((*fw)->last_report().shards[0].hedged);
+    FanoutReport report;
+    ASSERT_TRUE((*fw)->Retrieve(Query(3), Params(), &report).ok());
+    EXPECT_FALSE(report.shards[0].hedged);
   }
 
   // One 500 virtual-ms spike on shard 0's primary attempt. The hedge —
@@ -194,9 +198,10 @@ TEST_F(ShardChaosTest, HedgeFiresOnInjectedLatencySpike) {
   spike.max_fires = 1;
   ScopedFault slow("shard/0/search", spike);
 
-  auto result = (*fw)->Retrieve(Query(3), Params());
+  FanoutReport report;
+  auto result = (*fw)->Retrieve(Query(3), Params(), &report);
   ASSERT_TRUE(result.ok());
-  const ShardOutcome& outcome = (*fw)->last_report().shards[0];
+  const ShardOutcome& outcome = report.shards[0];
   EXPECT_EQ(outcome.kind, ShardOutcomeKind::kOk);
   EXPECT_TRUE(outcome.hedged);
   EXPECT_TRUE(outcome.hedge_won);
@@ -218,9 +223,9 @@ TEST_F(ShardChaosTest, DeadlineSliceDropsSlowShard) {
 
   RetrievalQuery rq = Query(4);
   rq.deadline_micros = clock_.NowMicros() + 100'000;
-  auto result = (*fw)->Retrieve(rq, Params());
+  FanoutReport report;
+  auto result = (*fw)->Retrieve(rq, Params(), &report);
   ASSERT_TRUE(result.ok());
-  const FanoutReport& report = (*fw)->last_report();
   EXPECT_EQ(report.shards[0].kind, ShardOutcomeKind::kTimeout);
   EXPECT_EQ(report.shards[1].kind, ShardOutcomeKind::kOk);
   EXPECT_EQ(result->stats.shards_ok, 1u);
@@ -251,9 +256,11 @@ TEST_F(ShardChaosTest, FaultScheduleIsDeterministicUnderSeed) {
           "shard/" + std::to_string(s) + "/search", flaky));
     }
     for (int i = 0; i < iters; ++i) {
-      auto result = (*fw)->Retrieve(Query(i % 8, /*seed=*/i), Params());
+      FanoutReport report;
+      auto result =
+          (*fw)->Retrieve(Query(i % 8, /*seed=*/i), Params(), &report);
       std::string row = result.ok() ? "ok" : "quorum-miss";
-      for (const ShardOutcome& o : (*fw)->last_report().shards) {
+      for (const ShardOutcome& o : report.shards) {
         row += std::string(":") + ShardOutcomeKindToString(o.kind);
       }
       kinds->push_back(std::move(row));

@@ -73,17 +73,6 @@ TEST(WeightedMultiDistanceTest, PrunedAbandonsAndCounts) {
   EXPECT_LT(stats.dims_scanned, 64u);
 }
 
-TEST(WeightedMultiDistanceTest, SetWeightsValidatesAndApplies) {
-  auto dist = WeightedMultiDistance::Create(TwoModality(), {1.0f, 1.0f});
-  ASSERT_TRUE(dist.ok());
-  EXPECT_FALSE(dist->SetWeights({1.0f}).ok());
-  EXPECT_FALSE(dist->SetWeights({1.0f, -1.0f}).ok());
-  ASSERT_TRUE(dist->SetWeights({0.0f, 3.0f}).ok());
-  const Vector q = {1, 1, 1, 1, 0, 0, 1};
-  const Vector o = {0, 0, 0, 0, 0, 0, 0};
-  EXPECT_FLOAT_EQ(dist->Exact(q.data(), o.data()), 3.0f);
-}
-
 TEST(FlattenMultiVectorTest, ConcatenatesInSchemaOrder) {
   MultiVector mv;
   mv.parts = {{1, 2, 3, 4}, {5, 6, 7}};

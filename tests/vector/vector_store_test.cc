@@ -98,6 +98,48 @@ TEST(VectorStoreTest, LoadRejectsAHugeRowCountWithoutAllocatingIt) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
+/// A store header with no rows after it: the magic, the dims and a row
+/// count.
+std::string StoreHeader(const std::vector<uint32_t>& dims, uint64_t rows) {
+  std::string blob;
+  auto put = [&blob](const auto& v) {
+    blob.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(uint32_t{0x4d514156});  // "MQAV"
+  put(static_cast<uint32_t>(dims.size()));
+  for (uint32_t d : dims) put(d);
+  put(rows);
+  return blob;
+}
+
+TEST(VectorStoreTest, LoadRejectsAZeroDimensionAtOnce) {
+  // Rows of zero floats read zero bytes, so a huge row count would never
+  // meet the truncation check.
+  std::stringstream in(StoreHeader({0}, 50'000'000'000ull));
+  auto loaded = VectorStore::Load(in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
+TEST(VectorStoreTest, LoadRejectsARowWiderThanTheFormatWithoutAllocatingIt) {
+  for (const std::vector<uint32_t>& dims :
+       {std::vector<uint32_t>{0xFFFFFFFFu},
+        std::vector<uint32_t>{1u << 21, 1u << 21, 1}}) {
+    std::stringstream in(StoreHeader(dims, 1));
+    auto loaded = VectorStore::Load(in);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  }
+}
+
+TEST(VectorStoreTest, LoadRejectsMoreRowsThanIdsCanName) {
+  std::stringstream in(StoreHeader({2}, uint64_t{UINT32_MAX} + 1));
+  auto loaded = VectorStore::Load(in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("id range"), std::string::npos);
+}
+
 TEST(FlatDistanceComputerTest, ComputesMetricDistances) {
   VectorSchema s;
   s.dims = {2};
@@ -121,22 +163,22 @@ TEST(MultiVectorDistanceComputerTest, TracksStatsAndHonorsPruningFlag) {
 
   MultiVectorDistanceComputer pruned(&store, *wd, /*enable_pruning=*/true);
   const Vector q(5, 0.0f);
-  DistanceTally tally;
-  const float d = pruned.DistanceWithBound(q.data(), 1, 1.0f, &tally);
+  DistanceContext ctx;
+  const float d = pruned.DistanceWithBound(q.data(), 1, 1.0f, &ctx);
   EXPECT_GT(d, 1.0f);
-  EXPECT_EQ(tally.pruned_computations, 1u);
+  EXPECT_EQ(ctx.tally.pruned_computations, 1u);
   // The shared stats move only when a search hands its tally over.
   EXPECT_EQ(pruned.stats().TotalComputations(), 0u);
-  pruned.AddTally(tally);
+  pruned.AddTally(ctx.tally);
   EXPECT_EQ(pruned.stats().pruned_computations, 1u);
   pruned.ResetStats();
   EXPECT_EQ(pruned.stats().TotalComputations(), 0u);
 
   MultiVectorDistanceComputer unpruned(&store, *wd, /*enable_pruning=*/false);
-  DistanceTally full_tally;
-  const float full = unpruned.DistanceWithBound(q.data(), 1, 1.0f, &full_tally);
+  DistanceContext full_ctx;
+  const float full = unpruned.DistanceWithBound(q.data(), 1, 1.0f, &full_ctx);
   EXPECT_FLOAT_EQ(full, 500.0f);
-  unpruned.AddTally(full_tally);
+  unpruned.AddTally(full_ctx.tally);
   EXPECT_EQ(unpruned.stats().full_computations, 1u);
   EXPECT_EQ(unpruned.stats().pruned_computations, 0u);
 }
@@ -179,6 +221,29 @@ TEST(MultiVectorDistanceComputerTest, SetWeightsChangesDistances) {
   EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, nullptr), 1.0f);
   ASSERT_TRUE(dist.SetWeights({4.0f, 1.0f}).ok());
   EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, nullptr), 4.0f);
+  EXPECT_FALSE(dist.SetWeights({1.0f, -1.0f}).ok());
+  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, nullptr), 4.0f);
+}
+
+TEST(MultiVectorDistanceComputerTest, ContextWeightsScoreOneSearchOnly) {
+  VectorStore store(TwoModality());
+  ASSERT_TRUE(store.Add({1, 0, 0, 2, 0}).ok());
+  auto wd = WeightedMultiDistance::Create(TwoModality(), {1.0f, 1.0f});
+  auto skewed = WeightedMultiDistance::Create(TwoModality(), {4.0f, 0.0f});
+  ASSERT_TRUE(wd.ok() && skewed.ok());
+  MultiVectorDistanceComputer dist(&store, *wd, true);
+  const Vector q(5, 0.0f);
+  // A context with its own distance scores through it...
+  DistanceContext ctx{&*skewed, {}};
+  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, &ctx), 4.0f);
+  EXPECT_FLOAT_EQ(dist.DistanceWithBound(q.data(), 0, 100.0f, &ctx), 4.0f);
+  EXPECT_EQ(ctx.tally.full_computations, 2u);
+  // ...and leaves the computer's default weights as they were.
+  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, nullptr), 5.0f);
+  DistanceContext plain;
+  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, &plain), 5.0f);
+  EXPECT_EQ(dist.weighted_distance().weights(),
+            (std::vector<float>{1.0f, 1.0f}));
 }
 
 }  // namespace

@@ -22,6 +22,17 @@ A metric listed in the baselines but absent from the report is a failure
 has no baselines entry pass with a note. Exit code 0 = all constraints
 hold, 1 = at least one violation (or unreadable input).
 
+A metric's bounds may name config floors below which they do not apply,
+e.g. a 4-workers-vs-1 scaling ratio on a runner with fewer than 4
+hardware threads:
+
+    "saturation/scaling_4v1": {"min": 2.0,
+                               "skip_if_config_below": {"hardware_threads": 4}}
+
+On such a run the metric is skipped with an explicit note. A report that
+lacks the named config value, or whose value is not a number, fails,
+like a missing metric.
+
 Compare mode gates the *ratio* between two runs of the same bench — e.g.
 a scalar-pinned run vs the dispatched SIMD run. The per-bench "ratios"
 baseline block names the ns_per_op metrics and the minimum speedup
@@ -43,12 +54,45 @@ import json
 import sys
 
 
-def check_report(report, baseline):
-    """Returns a list of violation strings for one report (empty = pass)."""
+def config_number(report, key):
+    """A config value as a number (benches write config values as
+    strings), or None when it is absent or not a number."""
+    try:
+        return float(report.get("config", {})[key])
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def config_below_floor(report, bounds):
+    """The (key, value, floor) that exempts a metric on this run, or None."""
+    for key, floor in sorted(bounds.get("skip_if_config_below", {}).items()):
+        value = config_number(report, key)
+        if value is not None and value < floor:
+            return key, value, floor
+    return None
+
+
+def check_report(report, baseline, out=sys.stdout):
+    """Returns a list of violation strings for one report (empty = pass).
+    Metrics exempted by a config floor are noted on `out`."""
     violations = []
     bench = report.get("bench", "<unnamed>")
     metrics = report.get("metrics", {})
     for name, bounds in sorted(baseline.get("metrics", {}).items()):
+        floors = bounds.get("skip_if_config_below", {})
+        missing = [key for key in sorted(floors)
+                   if config_number(report, key) is None]
+        if missing:
+            violations.append(
+                f"{bench}: config '{missing[0]}' missing from the report "
+                f"or not a number, needed to decide whether {name} is gated")
+            continue
+        below = config_below_floor(report, bounds)
+        if below is not None:
+            key, have, floor = below
+            print(f"SKIP {bench}: {name} not gated on this host: "
+                  f"{key}={have:g} is below {floor:g}", file=out)
+            continue
         value = metrics.get(name)
         if value is None:
             violations.append(
@@ -159,14 +203,15 @@ def run(baselines_path, report_paths, out=sys.stdout):
         if baseline is None:
             print(f"SKIP {path}: no baselines for '{bench}'", file=out)
             continue
-        violations = check_report(report, baseline)
+        violations = check_report(report, baseline, out=out)
         if violations:
             failed = True
             print(f"FAIL {path}:", file=out)
             for v in violations:
                 print(f"  {v}", file=out)
         else:
-            n = len(baseline.get("metrics", {}))
+            n = sum(1 for bounds in baseline.get("metrics", {}).values()
+                    if config_below_floor(report, bounds) is None)
             print(f"PASS {path}: {n} constraint(s) hold", file=out)
     return 1 if failed else 0
 

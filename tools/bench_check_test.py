@@ -34,6 +34,15 @@ BASELINES = {
             "bfs_aware_c64_p0/page_reads_per_query": {"max": 300.0},
         }
     },
+    "bench_serving": {
+        "metrics": {
+            "steady/failed": {"max": 0.0},
+            "saturation/scaling_4v1": {
+                "min": 2.0,
+                "skip_if_config_below": {"hardware_threads": 4},
+            },
+        }
+    },
 }
 
 
@@ -82,6 +91,49 @@ class CheckReportTest(unittest.TestCase):
                     "must/beam64/recall_at_10": 0.9})
         self.assertEqual(
             bench_check.check_report(r, BASELINES["bench_qps_recall"]), [])
+
+
+class ConfigFloorTest(unittest.TestCase):
+    def serving(self, threads, scaling):
+        r = report("bench_serving", {"steady/failed": 0.0,
+                                     "saturation/scaling_4v1": scaling})
+        if threads is not None:
+            # Benches write config values as strings.
+            r["config"]["hardware_threads"] = str(threads)
+        return r
+
+    def check(self, r):
+        out = io.StringIO()
+        violations = bench_check.check_report(
+            r, BASELINES["bench_serving"], out=out)
+        return violations, out.getvalue()
+
+    def test_metric_below_its_config_floor_is_skipped_with_a_note(self):
+        # Two hardware threads cannot run 4 workers at once: a ratio of
+        # 1.0 is what such a runner measures, and must not fail the gate.
+        violations, text = self.check(self.serving(2, 1.0))
+        self.assertEqual(violations, [])
+        self.assertIn("SKIP bench_serving", text)
+        self.assertIn("saturation/scaling_4v1", text)
+        self.assertIn("hardware_threads=2", text)
+
+    def test_metric_at_its_config_floor_is_gated(self):
+        violations, text = self.check(self.serving(4, 1.0))
+        self.assertEqual(len(violations), 1)
+        self.assertIn("saturation/scaling_4v1", violations[0])
+        self.assertIn("below floor", violations[0])
+        self.assertNotIn("SKIP", text)
+        self.assertEqual(self.check(self.serving(8, 3.4))[0], [])
+
+    def test_missing_config_value_fails(self):
+        # A report that stops recording the config must not skip silently.
+        violations, _ = self.check(self.serving(None, 1.0))
+        self.assertEqual(len(violations), 1)
+        self.assertIn("hardware_threads", violations[0])
+        self.assertIn("missing", violations[0])
+        violations, _ = self.check(self.serving("many", 3.4))
+        self.assertEqual(len(violations), 1)
+        self.assertIn("not a number", violations[0])
 
 
 class RunTest(unittest.TestCase):
@@ -214,8 +266,13 @@ class RunTest(unittest.TestCase):
             self.assertIn("metrics", entry)
             for name, bounds in entry["metrics"].items():
                 self.assertTrue(
-                    set(bounds) <= {"min", "max"},
+                    set(bounds) <= {"min", "max", "skip_if_config_below"},
                     f"{bench}:{name} has unknown bound keys {set(bounds)}")
+                for key, floor in bounds.get(
+                        "skip_if_config_below", {}).items():
+                    self.assertIsInstance(
+                        floor, (int, float),
+                        f"{bench}:{name} config floor {key} is not a number")
             ratios = entry.get("ratios")
             if ratios is not None:
                 self.assertTrue(

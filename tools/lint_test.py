@@ -198,11 +198,14 @@ class LockOrderAuditTest(unittest.TestCase):
 class ServingLockHierarchyTest(unittest.TestCase):
     """Models the serving front end's lock hierarchy (see DESIGN.md
     "Serving"): Server::mu_ (session map) is released before a turn runs,
-    the worker then holds ServerSession::mu for the whole turn and takes
-    the executor's SearchStage::mu_ strictly inside it, around each
-    framework search. The auditor must accept that order and still catch
-    a search reaching back into the session lock (the reversal that would
-    deadlock a searching turn against a worker waiting to search)."""
+    and the worker then holds ServerSession::mu for the whole turn.
+    Retrieval is re-entrant and takes no serving lock; what a turn still
+    takes inside the session lock is StatusMonitor::mu_, each time the
+    coordinator emits a stage event (StatusMonitor::Emit, at least twice
+    per turn). The auditor must accept that order and still catch the
+    monitor reaching back into a session lock while it holds its own
+    (say, a subscriber run under mu_ that reads a session): the reversal
+    that would deadlock an emitting turn against that subscriber."""
 
     SERVER_H = """
         #ifndef MQA_SERVER_SERVER_H_
@@ -214,9 +217,9 @@ class ServingLockHierarchyTest(unittest.TestCase):
         };
         class ServerSession {
          private:
-          Mutex mu MQA_ACQUIRED_BEFORE(SearchStage::mu_);
+          Mutex mu MQA_ACQUIRED_BEFORE(StatusMonitor::mu_);
         };
-        class SearchStage {
+        class StatusMonitor {
          private:
           Mutex mu_;
         };
@@ -231,7 +234,7 @@ class ServingLockHierarchyTest(unittest.TestCase):
                 namespace mqa {
                 void Server::RunTurn() {
                   MutexLock turn(&ServerSession::mu);
-                  MutexLock search(&SearchStage::mu_);
+                  MutexLock emit(&StatusMonitor::mu_);
                 }
                 void Server::FindSession() {
                   MutexLock map(&Server::mu_);
@@ -242,17 +245,17 @@ class ServingLockHierarchyTest(unittest.TestCase):
         self.assertGreaterEqual(nedges, 1)
         self.assertEqual(errors, [])
 
-    def test_search_reaching_into_session_is_a_cycle(self):
+    def test_monitor_reaching_into_session_is_a_cycle(self):
         errors, _, _ = lint_src({
             "src/server/server.h": self.SERVER_H,
             "src/server/server.cc": """
                 namespace mqa {
                 void Server::RunTurn() {
                   MutexLock turn(&ServerSession::mu);
-                  MutexLock search(&SearchStage::mu_);
+                  MutexLock emit(&StatusMonitor::mu_);
                 }
-                void Server::BadSearch() {
-                  MutexLock search(&SearchStage::mu_);
+                void StatusMonitor::Emit() {
+                  MutexLock emit(&StatusMonitor::mu_);
                   MutexLock turn(&ServerSession::mu);
                 }
                 }  // namespace mqa
@@ -260,7 +263,7 @@ class ServingLockHierarchyTest(unittest.TestCase):
         }, lock_order_only=True)
         self.assertEqual(len(errors), 1)
         self.assertIn("[lock-order]", errors[0])
-        self.assertIn("SearchStage::mu_", errors[0])
+        self.assertIn("StatusMonitor::mu_", errors[0])
         self.assertIn("ServerSession::mu", errors[0])
 
 
