@@ -1,9 +1,13 @@
 // Micro-benchmarks of the distance kernels underlying every experiment:
-// plain L2, dot product, weighted multi-vector distance, and the
+// plain L2, dot product, weighted multi-vector distance, the
 // incremental-scanning (early-abandon) variants at different bound
-// tightnesses. google-benchmark timing harness.
+// tightnesses, and the batched form over contiguous and gathered rows.
+// google-benchmark timing harness.
 
 #include <benchmark/benchmark.h>
+
+#include <limits>
+#include <optional>
 
 #include "bench_util.h"
 #include "common/random.h"
@@ -84,6 +88,27 @@ void BM_WeightedMultiPruned(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightedMultiPruned)->Arg(10)->Arg(50)->Arg(150);
 
+// The cost of the boundary checks alone: the same 4-segment call with no
+// bound (+inf: the kernel skips its checks) and with a finite bound that
+// is never reached (a check at each of the 3 boundaries, none abandons).
+void BM_WeightedMultiBound(benchmark::State& state, float bound) {
+  VectorSchema schema;
+  schema.dims = {32, 32, 32, 32};
+  auto dist =
+      WeightedMultiDistance::Create(schema, {4.0f, 1.0f, 1.0f, 1.0f});
+  Rng rng(7);
+  const Vector a = RandomVector(schema.TotalDim(), &rng);
+  const Vector b = RandomVector(schema.TotalDim(), &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dist->Pruned(a.data(), b.data(), bound,
+                                          nullptr));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_WeightedMultiBound, inf, kNoBound);
+BENCHMARK_CAPTURE(BM_WeightedMultiBound, unreached,
+                  std::numeric_limits<float>::max());
+
 // The batched rerank path: one query against N contiguous padded rows
 // (disk-index pivot scans). Same per-row kernel as
 // BM_WeightedMultiExact plus cross-row prefetch.
@@ -101,13 +126,88 @@ void BM_WeightedMultiExactBatch(benchmark::State& state) {
   const Vector q = RandomVector(schema.TotalDim(), &rng);
   std::vector<float> out(n);
   for (auto _ : state) {
-    dist->ExactBatch(q.data(), store.data(0), store.row_stride(), n,
-                     out.data());
+    dist->ExactBatch(q.data(), store.data(0), store.row_stride(),
+                     /*ids=*/nullptr, n, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_WeightedMultiExactBatch);
+
+// The build loops' one-to-many form: 64 random rows of a store larger
+// than L2 (32768 rows: 8 MiB at 2 segments, 16 MiB at 4), scored from one
+// row. Gathered is one ExactBatch call over the ids (4 rows per pass);
+// per-row is the per-pair loop it replaced.
+class GatherFixture {
+ public:
+  static constexpr uint32_t kRows = 32768;
+  static constexpr size_t kBatch = 64;
+  static constexpr size_t kBatches = 512;
+
+  explicit GatherFixture(size_t num_m) : store_(Schema(num_m)) {
+    std::vector<float> weights;
+    for (size_t m = 0; m < num_m; ++m) weights.push_back(1.0f + m);
+    dist_.emplace(*WeightedMultiDistance::Create(store_.schema(), weights));
+    Rng rng(8);
+    store_.Reserve(kRows);
+    for (uint32_t i = 0; i < kRows; ++i) {
+      (void)store_.Add(RandomVector(store_.row_dim(), &rng));
+    }
+    ids_.resize(kBatch * kBatches);
+    for (uint32_t& id : ids_) {
+      id = static_cast<uint32_t>(rng.NextUint64(kRows));
+    }
+  }
+
+  /// The ids of the next batch, cycling through kBatches of them.
+  const uint32_t* NextBatch() {
+    const uint32_t* batch = ids_.data() + next_ * kBatch;
+    next_ = (next_ + 1) % kBatches;
+    return batch;
+  }
+  const VectorStore& store() const { return store_; }
+  const WeightedMultiDistance& dist() const { return *dist_; }
+
+ private:
+  static VectorSchema Schema(size_t num_m) {
+    VectorSchema schema;
+    schema.dims.assign(num_m, 32);
+    return schema;
+  }
+
+  VectorStore store_;
+  std::optional<WeightedMultiDistance> dist_;
+  std::vector<uint32_t> ids_;
+  size_t next_ = 0;
+};
+
+void BM_WeightedMultiGather(benchmark::State& state) {
+  GatherFixture f(state.range(0));
+  const float* q = f.store().data(0);
+  std::vector<float> out(GatherFixture::kBatch);
+  for (auto _ : state) {
+    f.dist().ExactBatch(q, f.store().data(0), f.store().row_stride(),
+                        f.NextBatch(), GatherFixture::kBatch, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * GatherFixture::kBatch);
+}
+BENCHMARK(BM_WeightedMultiGather)->Arg(2)->Arg(4);
+
+void BM_WeightedMultiGatherPerRow(benchmark::State& state) {
+  GatherFixture f(state.range(0));
+  const float* q = f.store().data(0);
+  std::vector<float> out(GatherFixture::kBatch);
+  for (auto _ : state) {
+    const uint32_t* ids = f.NextBatch();
+    for (size_t i = 0; i < GatherFixture::kBatch; ++i) {
+      out[i] = f.dist().Exact(q, f.store().data(ids[i]));
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * GatherFixture::kBatch);
+}
+BENCHMARK(BM_WeightedMultiGatherPerRow)->Arg(2)->Arg(4);
 
 void BM_FlatStoreScan(benchmark::State& state) {
   const uint32_t n = 10000;

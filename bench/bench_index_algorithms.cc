@@ -126,8 +126,16 @@ int Run(const bench::BenchArgs& args) {
     json.AddMetric(algo + "/qps", qps);
     row.push_back(FormatDouble(qps, 0));
 
+    // The build's work and where its time went: NN-Descent's join pairs
+    // (deterministic at a fixed seed and scale, so CI gates them exactly)
+    // and each pipeline stage's seconds.
+    if (report.nn_descent_evals > 0) {
+      json.AddMetric(algo + "/nn_descent_evals",
+                     static_cast<double>(report.nn_descent_evals));
+    }
     std::string stages;
     for (const auto& s : report.stages) {
+      json.AddMetric(algo + "/" + s.name + "_s", s.elapsed_ms / 1000.0);
       if (!stages.empty()) stages += ", ";
       stages += s.name.substr(0, 4) + "=" +
                 FormatDouble(s.elapsed_ms / 1000.0, 1) + "s";

@@ -1,6 +1,10 @@
 #include "core/config_parser.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 
 #include "common/string_util.h"
 
@@ -22,6 +26,17 @@ Result<uint64_t> ParseUint(const std::string& key, const std::string& value) {
     return Status::InvalidArgument("bad integer for " + key + ": " + value);
   }
   return static_cast<uint64_t>(v);
+}
+
+/// A count that must fit the uint32_t field it fills and be at least 1.
+Result<uint32_t> ParseUint32Count(const std::string& key,
+                                  const std::string& value) {
+  MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
+  if (v == 0 || v > UINT32_MAX) {
+    return Status::InvalidArgument(key + " must be in [1, " +
+                                   std::to_string(UINT32_MAX) + "]: " + value);
+  }
+  return static_cast<uint32_t>(v);
 }
 
 Result<float> ParseFloat(const std::string& key, const std::string& value) {
@@ -78,15 +93,22 @@ Result<MqaConfig> ParseMqaConfig(const std::vector<std::string>& lines) {
     } else if (key == "index.algorithm") {
       config.index.algorithm = value;
     } else if (key == "index.max_degree") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.index.graph.max_degree = static_cast<uint32_t>(v);
-      config.index.hnsw.m = static_cast<uint32_t>(std::max<uint64_t>(2, v / 2));
+      MQA_ASSIGN_OR_RETURN(uint32_t v, ParseUint32Count(key, value));
+      config.index.graph.max_degree = v;
+      config.index.hnsw.m = std::max<uint32_t>(2, v / 2);
     } else if (key == "index.build_beam") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.index.graph.build_beam = static_cast<uint32_t>(v);
-      config.index.hnsw.ef_construction = static_cast<uint32_t>(v);
+      MQA_ASSIGN_OR_RETURN(uint32_t v, ParseUint32Count(key, value));
+      config.index.graph.build_beam = v;
+      config.index.hnsw.ef_construction = v;
     } else if (key == "index.alpha") {
-      MQA_ASSIGN_OR_RETURN(config.index.graph.alpha, ParseFloat(key, value));
+      // NaN would switch RobustPrune's occlusion off, and alpha < 1
+      // occludes nearly every candidate (see BuildGraphIndex).
+      MQA_ASSIGN_OR_RETURN(float alpha, ParseFloat(key, value));
+      if (!std::isfinite(alpha) || alpha < 1.0f) {
+        return Status::InvalidArgument(
+            "index.alpha must be finite and >= 1: " + value);
+      }
+      config.index.graph.alpha = alpha;
     } else if (key == "simd.level") {
       config.simd_level = value;
     } else if (key == "framework") {

@@ -23,9 +23,9 @@ namespace mqa {
 ///   learn_weights           bool
 ///   training_triplets       uint
 ///   index.algorithm         string ("mqa-hybrid" | "hnsw" | "starling" ...)
-///   index.max_degree        uint
-///   index.build_beam        uint
-///   index.alpha             float
+///   index.max_degree        uint   (1 .. 2^32-1)
+///   index.build_beam        uint   (1 .. 2^32-1)
+///   index.alpha             float  (finite, >= 1)
 ///   framework               string ("must" | "mr" | "je")
 ///   search.k                uint
 ///   search.beam_width       uint

@@ -251,12 +251,12 @@ Result<std::vector<Neighbor>> DiskGraphIndex::Search(
   if (!pivot_ids_.empty()) {
     // In-memory navigation: scan the RAM pivots (no I/O) and start the
     // on-disk traversal from the closest few. The pivot table is one
-    // contiguous row-major block, so the whole rerank scan goes through the
-    // batched kernel, which prefetches each next pivot row.
+    // contiguous row-major block, so the whole rerank scan is one call of
+    // the batched kernel, which scores four pivot rows per pass.
     TopK best_pivots(4);
     std::vector<float> pivot_dists(pivot_ids_.size());
-    weighted.ExactBatch(query, pivot_vectors_.data(), dim_,
-                         pivot_ids_.size(), pivot_dists.data());
+    weighted.ExactBatch(query, pivot_vectors_.data(), dim_, /*ids=*/nullptr,
+                        pivot_ids_.size(), pivot_dists.data());
     for (size_t i = 0; i < pivot_ids_.size(); ++i) {
       ++local.dist_comps;
       best_pivots.Push(pivot_dists[i], pivot_ids_[i]);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <limits>
+#include <span>
 
 #include "common/sync.h"
 #include "common/thread_pool.h"
@@ -59,10 +61,42 @@ bool Insert(NodeList* list, uint32_t cap, float distance, uint32_t id) {
   return true;
 }
 
+/// Up to `cap` ids per node in one flat array: a round's snapshot of each
+/// node's new or old neighbors, or its sampled reverse ones.
+class NodeSlots {
+ public:
+  NodeSlots(uint32_t n, uint32_t cap)
+      : cap_(cap), ids_(static_cast<size_t>(n) * cap), count_(n, 0) {}
+
+  void Clear() { std::fill(count_.begin(), count_.end(), 0); }
+  bool Full(uint32_t u) const { return count_[u] == cap_; }
+  void Push(uint32_t u, uint32_t id) {
+    ids_[static_cast<size_t>(u) * cap_ + count_[u]++] = id;
+  }
+  std::span<const uint32_t> Of(uint32_t u) const {
+    return {ids_.data() + static_cast<size_t>(u) * cap_, count_[u]};
+  }
+
+ private:
+  uint32_t cap_;
+  std::vector<uint32_t> ids_;
+  std::vector<uint32_t> count_;
+};
+
+/// A join's working buffers, reused by every join on its thread.
+struct JoinScratch {
+  /// The node's deduplicated new pool, then the old ids not in it.
+  std::vector<uint32_t> pool;
+  std::vector<uint32_t> old;
+  std::vector<float> dists;
+};
+
 }  // namespace
 
 Result<AdjacencyGraph> BuildNNDescentGraph(DistanceComputer* dist, uint32_t k,
-                                           uint32_t iters, Rng* rng) {
+                                           uint32_t iters, Rng* rng,
+                                           uint64_t* pair_evals) {
+  if (pair_evals != nullptr) *pair_evals = 0;
   const uint32_t n = dist->size();
   if (n == 0) return Status::InvalidArgument("empty vector store");
   if (k == 0) return Status::InvalidArgument("k must be > 0");
@@ -90,68 +124,96 @@ Result<AdjacencyGraph> BuildNNDescentGraph(DistanceComputer* dist, uint32_t k,
     MutexLock lock(&list.mu);
     list.entries.reserve(k + 1);
   }
+  thread_local JoinScratch scratch;
   pool.ParallelFor(n, [&](size_t u) {
-    for (uint32_t t = 0; t < k; ++t) {
-      const uint32_t v = init[u * k + t];
-      const float d = dist->DistanceBetween(static_cast<uint32_t>(u), v);
-      Insert(&lists[u], k, d, v);
-    }
+    const std::span<const uint32_t> drawn(init.data() + u * k, k);
+    std::vector<float>& dists = scratch.dists;
+    dists.resize(k);
+    dist->DistancesBetween(static_cast<uint32_t>(u), drawn, dists.data());
+    for (uint32_t t = 0; t < k; ++t) Insert(&lists[u], k, dists[t], drawn[t]);
   });
+  std::atomic<uint64_t> evals{0};
 
-  // Sampled reverse-neighbor cap per node per round.
-  const size_t reverse_cap = k;
+  // Each round's snapshot: a list holds at most k ids, and at most k
+  // reverse neighbors are sampled per node.
+  NodeSlots new_nbrs(n, k), old_nbrs(n, k), rev_new(n, k), rev_old(n, k);
 
   for (uint32_t iter = 0; iter < iters; ++iter) {
     // Snapshot new/old partitions, then clear the new flags.
-    std::vector<std::vector<uint32_t>> new_nbrs(n), old_nbrs(n);
+    new_nbrs.Clear();
+    old_nbrs.Clear();
     for (uint32_t u = 0; u < n; ++u) {
       NodeList& list = lists[u];
       MutexLock lock(&list.mu);
       for (Entry& e : list.entries) {
-        (e.is_new ? new_nbrs[u] : old_nbrs[u]).push_back(e.id);
+        (e.is_new ? new_nbrs : old_nbrs).Push(u, e.id);
         e.is_new = false;
       }
     }
-    // Sampled reverse edges.
-    std::vector<std::vector<uint32_t>> rev_new(n), rev_old(n);
+    // Sampled reverse edges: the first k sources in node order.
+    rev_new.Clear();
+    rev_old.Clear();
     for (uint32_t u = 0; u < n; ++u) {
-      for (uint32_t v : new_nbrs[u]) {
-        if (rev_new[v].size() < reverse_cap) rev_new[v].push_back(u);
+      for (uint32_t v : new_nbrs.Of(u)) {
+        if (!rev_new.Full(v)) rev_new.Push(v, u);
       }
-      for (uint32_t v : old_nbrs[u]) {
-        if (rev_old[v].size() < reverse_cap) rev_old[v].push_back(u);
+      for (uint32_t v : old_nbrs.Of(u)) {
+        if (!rev_old.Full(v)) rev_old.Push(v, u);
       }
     }
 
     // Local joins, in parallel over the nodes whose pools are joined. The
-    // pools are the snapshot above, so every round evaluates the same
-    // pairs as a serial pass, and Insert keeps each list order-independent.
+    // pools are the snapshot above, so every round offers the same pairs
+    // as a serial pass, and Insert keeps each list order-independent.
+    // Each pool is deduplicated, and the old pool loses the ids of the new
+    // one: an id in both halves of a mutual edge, or in both pools, would
+    // only offer a pair again, and a list already holds the top-k of
+    // every pair offered to it (the distance is bitwise symmetric), so a
+    // repeat never changes a list. The pairs are new x new and new x old,
+    // so with the new ids first, each new id is joined with exactly the
+    // ids after it: one batched distance call, then the inserts.
     std::atomic<uint64_t> updates{0};
     pool.ParallelFor(n, [&](size_t u) {
-      std::vector<uint32_t> pool_new = new_nbrs[u];
-      pool_new.insert(pool_new.end(), rev_new[u].begin(), rev_new[u].end());
-      std::vector<uint32_t> pool_old = old_nbrs[u];
-      pool_old.insert(pool_old.end(), rev_old[u].begin(), rev_old[u].end());
+      std::vector<uint32_t>& joined = scratch.pool;
+      std::vector<uint32_t>& old = scratch.old;
+      const auto node = static_cast<uint32_t>(u);
+      joined.assign(new_nbrs.Of(node).begin(), new_nbrs.Of(node).end());
+      joined.insert(joined.end(), rev_new.Of(node).begin(),
+                    rev_new.Of(node).end());
+      std::sort(joined.begin(), joined.end());
+      joined.erase(std::unique(joined.begin(), joined.end()), joined.end());
+      const size_t num_new = joined.size();
+      if (num_new == 0) return;
+      old.assign(old_nbrs.Of(node).begin(), old_nbrs.Of(node).end());
+      old.insert(old.end(), rev_old.Of(node).begin(), rev_old.Of(node).end());
+      std::sort(old.begin(), old.end());
+      old.erase(std::unique(old.begin(), old.end()), old.end());
+      joined.reserve(num_new + old.size());  // no reallocation below
+      std::set_difference(old.begin(), old.end(), joined.begin(),
+                          joined.begin() + num_new,
+                          std::back_inserter(joined));
 
-      // new x new and new x old joins: candidates become neighbors of each
-      // other when close enough.
+      std::vector<float>& dists = scratch.dists;
+      dists.resize(joined.size());
       uint64_t local = 0;
-      auto join = [&](uint32_t a, uint32_t b) {
-        if (a == b) return;
-        const float d = dist->DistanceBetween(a, b);
-        if (Insert(&lists[a], k, d, b)) ++local;
-        if (Insert(&lists[b], k, d, a)) ++local;
-      };
-      for (size_t i = 0; i < pool_new.size(); ++i) {
-        for (size_t j = i + 1; j < pool_new.size(); ++j) {
-          join(pool_new[i], pool_new[j]);
+      uint64_t scored = 0;
+      for (size_t i = 0; i < num_new; ++i) {
+        const uint32_t a = joined[i];
+        const std::span<const uint32_t> partners(joined.data() + i + 1,
+                                                 joined.size() - i - 1);
+        dist->DistancesBetween(a, partners, dists.data());
+        scored += partners.size();
+        for (size_t j = 0; j < partners.size(); ++j) {
+          if (Insert(&lists[a], k, dists[j], partners[j])) ++local;
+          if (Insert(&lists[partners[j]], k, dists[j], a)) ++local;
         }
-        for (uint32_t b : pool_old) join(pool_new[i], b);
       }
+      evals.fetch_add(scored, std::memory_order_relaxed);
       if (local > 0) updates.fetch_add(local, std::memory_order_relaxed);
     });
     if (updates.load(std::memory_order_relaxed) == 0) break;
   }
+  if (pair_evals != nullptr) *pair_evals = evals.load();
 
   AdjacencyGraph graph(n, k);
   std::vector<uint32_t> nbrs;

@@ -20,13 +20,19 @@ namespace mqa {
 /// (the loop also stops early when an iteration makes no updates).
 ///
 /// The init distances and each round's joins run on DefaultThreadPool()
-/// (so `dist->DistanceBetween` is called from several threads at once, and
-/// this must not be called from a task on that pool). Each list keeps the
-/// top-k of its candidates under (distance, id), which does not depend on
-/// the order the joins offer them in, so the graph is the same for every
-/// pool size and equal to a serial pass's.
+/// (so `dist->DistancesBetween` is called from several threads at once,
+/// and this must not be called from a task on that pool). Each list keeps
+/// the top-k of its candidates under (distance, id), which does not depend
+/// on the order the joins offer them in, nor on how often a pair is
+/// offered, so the graph is the same for every pool size and equal to a
+/// serial pass's.
+///
+/// `pair_evals` (optional) receives the number of pairs the local joins
+/// scored (the random init's n * k distances are not counted). It is a
+/// function of the inputs alone.
 Result<AdjacencyGraph> BuildNNDescentGraph(DistanceComputer* dist, uint32_t k,
-                                           uint32_t iters, Rng* rng);
+                                           uint32_t iters, Rng* rng,
+                                           uint64_t* pair_evals = nullptr);
 
 }  // namespace mqa
 

@@ -1,7 +1,10 @@
 #include "graph/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
+#include <span>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -22,6 +25,7 @@ struct BuildState {
   AdjacencyGraph graph;
   uint32_t medoid = 0;
   Rng rng{42};
+  uint64_t nn_descent_evals = 0;
 };
 
 constexpr char kStateKey[] = "build_state";
@@ -30,14 +34,47 @@ Result<BuildState*> GetState(dag::DagContext* ctx) {
   return ctx->Get<BuildState>(kStateKey);
 }
 
+/// Appends (DistanceBetween(from, id), id) for every id, in order, scored
+/// in one batched call.
+void AppendScored(const DistanceComputer* dist, uint32_t from,
+                  std::span<const uint32_t> ids, std::vector<Neighbor>* out) {
+  thread_local std::vector<float> dists;
+  dists.resize(ids.size());
+  dist->DistancesBetween(from, ids, dists.data());
+  for (size_t i = 0; i < ids.size(); ++i) out->push_back({dists[i], ids[i]});
+}
+
+/// RobustPrune's working buffers, reused by every prune on its thread.
+/// An id is pooled when its stamp equals the current epoch, so starting a
+/// prune is an epoch bump, not a clear.
+struct PruneScratch {
+  std::vector<uint32_t> stamps;
+  uint32_t epoch = 0;
+  std::vector<uint32_t> ids;  ///< live candidates, nearest first
+  std::vector<float> dists;   ///< their distances to the node
+  std::vector<float> to_selected;  ///< and to the last selected neighbor
+
+  void Begin(uint32_t max_id) {
+    if (stamps.size() <= max_id) stamps.resize(size_t{max_id} + 1, 0);
+    if (++epoch == 0) {  // wrapped: stamps from 2^32 prunes ago match
+      std::fill(stamps.begin(), stamps.end(), 0);
+      epoch = 1;
+    }
+    ids.clear();
+    dists.clear();
+  }
+};
+
 // --- Stage bodies -----------------------------------------------------
 
 /// Initialization: approximate kNN lists via NN-Descent.
 Status StageInitNNDescent(dag::DagContext* ctx) {
   MQA_ASSIGN_OR_RETURN(BuildState * s, GetState(ctx));
   MQA_ASSIGN_OR_RETURN(
-      s->graph, BuildNNDescentGraph(s->dist, s->config.nn_descent_k,
-                                    s->config.nn_descent_iters, &s->rng));
+      s->graph,
+      BuildNNDescentGraph(s->dist, s->config.nn_descent_k,
+                          s->config.nn_descent_iters, &s->rng,
+                          &s->nn_descent_evals));
   s->graph.Reserve(std::max(s->config.max_degree, s->config.nn_descent_k));
   return Status::OK();
 }
@@ -85,6 +122,25 @@ Status StageTruncate(dag::DagContext* ctx) {
   return Status::OK();
 }
 
+/// The parameters every build and insert prunes with. A NaN alpha turns
+/// occlusion off (every comparison with it is false), and an alpha below 1
+/// occludes candidates nearer the node than to the occluder, which strips
+/// the graph to a few edges per node that connectivity repair then routes
+/// through one hub.
+Status ValidateBuildParams(const GraphBuildConfig& config) {
+  if (!std::isfinite(config.alpha) || config.alpha < 1.0f) {
+    return Status::InvalidArgument("alpha must be finite and >= 1, got " +
+                                   std::to_string(config.alpha));
+  }
+  if (config.max_degree == 0) {
+    return Status::InvalidArgument("max_degree must be > 0");
+  }
+  if (config.build_beam == 0) {
+    return Status::InvalidArgument("build_beam must be > 0");
+  }
+  return Status::OK();
+}
+
 /// Largest refinement batch. Batch sizes double from 1 up to this cap, so
 /// the schedule depends on n alone; the cap bounds how many nodes refine
 /// against a graph that does not yet hold each other's new edges.
@@ -119,9 +175,7 @@ Status StageRefine(dag::DagContext* ctx, float alpha) {
       std::vector<Neighbor> evaluated;
       BeamSearch(s->graph, s->dist, s->store->data(u), {s->medoid},
                  /*k=*/1, s->config.build_beam, nullptr, &evaluated);
-      for (uint32_t v : s->graph.neighbors(u)) {
-        evaluated.push_back({s->dist->DistanceBetween(u, v), v});
-      }
+      AppendScored(s->dist, u, s->graph.neighbors(u), &evaluated);
       selected[i] = RobustPrune(u, std::move(evaluated), alpha, r, s->dist);
     });
 
@@ -158,9 +212,7 @@ Status StageRefine(dag::DagContext* ctx, float alpha) {
       if (vn.size() > r) {
         std::vector<Neighbor> candidates;
         candidates.reserve(vn.size());
-        for (uint32_t w : vn) {
-          candidates.push_back({s->dist->DistanceBetween(v, w), w});
-        }
+        AppendScored(s->dist, v, vn, &candidates);
         vn = RobustPrune(v, std::move(candidates), alpha, r, s->dist);
       }
       s->graph.SetNeighbors(v, vn);
@@ -237,27 +289,48 @@ std::vector<uint32_t> RobustPrune(uint32_t node,
                                   float alpha, uint32_t max_degree,
                                   DistanceComputer* dist) {
   std::sort(candidates.begin(), candidates.end(), NeighborLess);
-  // Dedupe (sorted by distance; equal ids may appear at different ranks,
-  // so dedupe by id with a set).
-  std::unordered_set<uint32_t> seen;
-  std::vector<Neighbor> pool;
-  pool.reserve(candidates.size());
+  // Dedupe by id, keeping each id's first (nearest) entry; the node itself
+  // is stamped up front, so it never enters the pool.
+  thread_local PruneScratch scratch;
+  uint32_t max_id = node;
+  for (const Neighbor& c : candidates) max_id = std::max(max_id, c.id);
+  scratch.Begin(max_id);
+  uint32_t* const stamps = scratch.stamps.data();
+  const uint32_t epoch = scratch.epoch;
+  std::vector<uint32_t>& ids = scratch.ids;
+  std::vector<float>& dists = scratch.dists;
+  stamps[node] = epoch;
   for (const Neighbor& c : candidates) {
-    if (c.id == node) continue;
-    if (seen.insert(c.id).second) pool.push_back(c);
+    if (stamps[c.id] == epoch) continue;
+    stamps[c.id] = epoch;
+    ids.push_back(c.id);
+    dists.push_back(c.distance);
   }
 
+  // The live candidates stay nearest first at the front of ids/dists. The
+  // nearest is selected; the rest are scored against it in one batched
+  // call, and those it occludes drop out as the list is compacted, with
+  // no branch per candidate.
   std::vector<uint32_t> selected;
-  std::vector<bool> occluded(pool.size(), false);
-  for (size_t i = 0; i < pool.size() && selected.size() < max_degree; ++i) {
-    if (occluded[i]) continue;
-    const Neighbor& p = pool[i];
-    selected.push_back(p.id);
-    for (size_t j = i + 1; j < pool.size(); ++j) {
-      if (occluded[j]) continue;
-      const float d_pc = dist->DistanceBetween(p.id, pool[j].id);
-      if (alpha * d_pc <= pool[j].distance) occluded[j] = true;
+  std::vector<float>& to_selected = scratch.to_selected;
+  size_t live = ids.size();
+  while (live > 0 && selected.size() < max_degree) {
+    const uint32_t p = ids[0];
+    selected.push_back(p);
+    if (selected.size() == max_degree) break;
+    const size_t rest = live - 1;
+    to_selected.resize(rest);
+    dist->DistancesBetween(p, std::span<const uint32_t>(ids.data() + 1, rest),
+                           to_selected.data());
+    size_t kept = 0;
+    for (size_t j = 0; j < rest; ++j) {
+      const uint32_t id = ids[j + 1];
+      const float d = dists[j + 1];
+      ids[kept] = id;
+      dists[kept] = d;
+      kept += !(alpha * to_selected[j] <= d);
     }
+    live = kept;
   }
   return selected;
 }
@@ -271,9 +344,7 @@ Result<std::unique_ptr<GraphIndex>> BuildGraphIndex(
   if (store->size() == 0) {
     return Status::FailedPrecondition("cannot build an index over 0 vectors");
   }
-  if (config.max_degree == 0) {
-    return Status::InvalidArgument("max_degree must be > 0");
-  }
+  MQA_RETURN_NOT_OK(ValidateBuildParams(config));
   const std::string& algo = config.algorithm;
   const bool known = algo == "kgraph" || algo == "nsg" || algo == "vamana" ||
                      algo == "mqa-hybrid";
@@ -347,6 +418,7 @@ Result<std::unique_ptr<GraphIndex>> BuildGraphIndex(
     report->max_degree = state->graph.MaxDegree();
     report->medoid = state->medoid;
     report->connected = state->graph.IsConnectedFrom(state->medoid);
+    report->nn_descent_evals = state->nn_descent_evals;
   }
 
   // Entry points: the medoid. A raw kNN graph (kgraph) has no long-range
@@ -374,6 +446,7 @@ Status InsertIntoGraphIndex(GraphIndex* index, const VectorStore* store,
   if (index == nullptr || store == nullptr) {
     return Status::InvalidArgument("index and store are required");
   }
+  MQA_RETURN_NOT_OK(ValidateBuildParams(config));
   AdjacencyGraph* graph = index->mutable_graph();
   if (new_id != graph->num_nodes()) {
     return Status::InvalidArgument("ids must stay dense: expected id " +
@@ -405,9 +478,7 @@ Status InsertIntoGraphIndex(GraphIndex* index, const VectorStore* store,
     if (vn.size() > config.max_degree) {
       std::vector<Neighbor> pool;
       pool.reserve(vn.size());
-      for (uint32_t w : vn) {
-        pool.push_back({dist->DistanceBetween(v, w), w});
-      }
+      AppendScored(dist, v, vn, &pool);
       vn = RobustPrune(v, std::move(pool), config.alpha, config.max_degree,
                        dist);
     }

@@ -43,13 +43,18 @@ struct BuildReport {
   uint32_t max_degree = 0;
   uint32_t medoid = 0;
   bool connected = false;
+  /// Pairs NN-Descent's local joins scored; 0 when the algorithm has no
+  /// NN-Descent stage. Deterministic for a given store and config.
+  uint64_t nn_descent_evals = 0;
 };
 
 /// DiskANN's RobustPrune neighbor selection. Given a candidate pool for
-/// `node` (any order, duplicates/self allowed), returns a diverse neighbor
-/// set of at most `max_degree`: a candidate is occluded when some already
-/// selected neighbor p satisfies alpha * d(p, c) <= d(node, c).
-/// With alpha = 1 this is the MRNG rule used by NSG.
+/// `node` (any order, duplicates/self allowed; of an id offered more than
+/// once, the first entry in NeighborLess order counts), returns a diverse
+/// neighbor set of at most `max_degree`: a candidate is occluded when some
+/// already selected neighbor p satisfies alpha * d(p, c) <= d(node, c).
+/// With alpha = 1 this is the MRNG rule used by NSG. Each selection scores
+/// the candidates still live in one DistancesBetween call.
 std::vector<uint32_t> RobustPrune(uint32_t node,
                                   std::vector<Neighbor> candidates,
                                   float alpha, uint32_t max_degree,
@@ -58,6 +63,8 @@ std::vector<uint32_t> RobustPrune(uint32_t node,
 /// Runs the construction pipeline and returns a searchable index. The
 /// distance computer is consumed (the index owns it afterwards). `store`
 /// must outlive the index. `report` (optional) receives stage timings.
+/// InvalidArgument unless alpha is finite and >= 1 and max_degree and
+/// build_beam are >= 1.
 ///
 /// NN-Descent initialization and refinement run on DefaultThreadPool(), so
 /// the computer's Distance and DistanceBetween are called from several
@@ -77,6 +84,7 @@ std::vector<std::string> GraphAlgorithms();
 /// RobustPrune the evaluated pool into its neighbor list, then add pruned
 /// backlinks. `new_id` must be exactly index->size() (dense ids) and must
 /// already be present in the store the index's distance computer reads.
+/// The config is validated as by BuildGraphIndex.
 Status InsertIntoGraphIndex(GraphIndex* index, const VectorStore* store,
                             uint32_t new_id, const GraphBuildConfig& config);
 

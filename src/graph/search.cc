@@ -178,13 +178,15 @@ uint32_t ApproximateMedoid(const DistanceComputer* dist, Rng* rng,
   if (n == 0) return 0;
   const uint32_t s = std::min(sample_size, n);
   std::vector<uint32_t> sample = rng->SampleWithoutReplacement(n, s);
+  std::vector<float> dists(sample.size());
   uint32_t best = sample[0];
   double best_sum = std::numeric_limits<double>::max();
   for (uint32_t cand : sample) {
+    dist->DistancesBetween(cand, sample, dists.data());
     double sum = 0.0;
-    for (uint32_t other : sample) {
-      if (other == cand) continue;
-      sum += dist->DistanceBetween(cand, other);
+    for (size_t j = 0; j < sample.size(); ++j) {
+      if (sample[j] == cand) continue;
+      sum += dists[j];
     }
     if (sum < best_sum) {
       best_sum = sum;

@@ -37,20 +37,11 @@ float WeightedMultiDistance::Exact(const float* q, const float* o) const {
 }
 
 void WeightedMultiDistance::ExactBatch(const float* q, const float* base,
-                                       size_t stride, size_t n,
-                                       float* out) const {
-  for (size_t i = 0; i < n; ++i) {
-    const float* row = base + i * stride;
-    if (i + 1 < n) {
-      // Pull the next row toward L1 while this one is being reduced. One
-      // hint per cache line; rows are stride floats apart.
-      const float* next = row + stride;
-      for (size_t b = 0; b < stride * sizeof(float); b += 64) {
-        PrefetchRead(reinterpret_cast<const char*>(next) + b);
-      }
-    }
-    out[i] = Exact(q, row);
-  }
+                                       size_t stride, const uint32_t* ids,
+                                       size_t n, float* out) const {
+  ActiveKernels().wl2sq_rows(q, base, stride, ids, n, scan_offsets_.data(),
+                             scan_dims_.data(), scan_weights_.data(),
+                             scan_weights_.size(), out);
 }
 
 float WeightedMultiDistance::Pruned(const float* q, const float* o,

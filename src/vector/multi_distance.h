@@ -80,9 +80,10 @@ struct DistanceStats {
 /// *incremental scanning*: modality blocks are accumulated heaviest weight
 /// first and the computation is abandoned as soon as the prefix exceeds a
 /// caller-supplied bound (the current top-k worst distance during search).
-/// Both entry points are one call of the fused DistanceKernels::wl2sq over
-/// the same scan (heaviest weight first, zero weights left out), so a
-/// Pruned call that does not abandon returns Exact's value bit for bit.
+/// Every entry point runs the same scan (heaviest weight first, zero
+/// weights left out) through the fused kernel, so a Pruned call that does
+/// not abandon, and each row of ExactBatch, return Exact's value bit for
+/// bit.
 class WeightedMultiDistance {
  public:
   /// `weights` must have one nonnegative entry per modality in `schema`.
@@ -93,14 +94,14 @@ class WeightedMultiDistance {
   /// schema.TotalDim() each).
   float Exact(const float* q, const float* o) const;
 
-  /// Exact distances from `q` to `n` candidate rows laid out at `base`,
-  /// `base + stride`, ... (a contiguous VectorStore/pivot-table scan).
-  /// Row i's result lands in out[i]. Each row goes through the same Exact
-  /// kernel — results are bitwise identical to n individual calls — while
-  /// the next row is prefetched, so linear rerank scans hide memory
-  /// latency behind the arithmetic.
-  void ExactBatch(const float* q, const float* base, size_t stride, size_t n,
-                  float* out) const;
+  /// Exact distances from `q` to `n` rows of a table at `base` with rows
+  /// `stride` floats apart: row ids[i] (a gather, e.g. a build loop's
+  /// candidates), or row i when `ids` is null (a contiguous scan, e.g. the
+  /// disk index's pivot table). Row i's result lands in out[i], bitwise
+  /// equal to Exact on that row: one DistanceKernels::wl2sq_rows call,
+  /// which scores rows four per pass.
+  void ExactBatch(const float* q, const float* base, size_t stride,
+                  const uint32_t* ids, size_t n, float* out) const;
 
   /// Distance with early abandonment at `bound`. Returns a value > bound
   /// (a prefix of the exact sum) when abandoned, and Exact's value

@@ -16,6 +16,20 @@ const DistanceKernels& ScalarKernels();
 const DistanceKernels* Avx2KernelsOrNull();
 const DistanceKernels* Avx512KernelsOrNull();
 
+// Row addressing shared by the tiers' wl2sq_rows. Internal linkage on
+// purpose: each kernel translation unit compiles its own copy under its
+// own -m flags, so no out-of-line copy built for one tier can be linked
+// into another.
+namespace {
+
+/// Row i of a wl2sq_rows call: gathered through `ids`, or contiguous.
+inline const float* RowAt(const float* base, size_t stride,
+                          const uint32_t* ids, size_t i) {
+  return base + (ids == nullptr ? i : ids[i]) * stride;
+}
+
+}  // namespace
+
 }  // namespace simd_internal
 }  // namespace mqa
 

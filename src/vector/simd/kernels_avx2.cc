@@ -8,6 +8,8 @@
 
 #if defined(MQA_SIMD_X86)
 #include <immintrin.h>
+
+#include <cmath>
 #endif
 
 namespace mqa {
@@ -70,6 +72,20 @@ float DotAvx2(const float* a, const float* b, size_t dim) {
   return sum;
 }
 
+/// `tail_sum` plus `weight` times the squared L2 of a segment's scalar
+/// tail, dims [i, dim). The fused multiply-adds are spelled out, so the
+/// single-row and the four-row kernels round their tails alike whatever
+/// the compiler would contract in each.
+float AddWeightedTail(const float* a, const float* b, size_t i, size_t dim,
+                      float weight, float tail_sum) {
+  float seg_tail = 0.0f;
+  for (; i < dim; ++i) {
+    const float d = a[i] - b[i];
+    seg_tail = std::fma(d, d, seg_tail);
+  }
+  return std::fma(weight, seg_tail, tail_sum);
+}
+
 /// Weighted multi-segment L2 in one pass: the weighted accumulator stays
 /// in a vector register across segments (one fmadd per segment with the
 /// broadcast weight) and is reduced horizontally once, plus once per
@@ -94,12 +110,7 @@ float WL2SqAvx2Scan(const float* q, const float* o, const size_t* offsets,
       seg = _mm256_fmadd_ps(d, d, seg);
     }
     acc = _mm256_fmadd_ps(_mm256_set1_ps(weights[m]), seg, acc);
-    float seg_tail = 0.0f;
-    for (; i < dim; ++i) {
-      const float d = a[i] - b[i];
-      seg_tail += d * d;
-    }
-    tail_sum += weights[m] * seg_tail;
+    tail_sum = AddWeightedTail(a, b, i, dim, weights[m], tail_sum);
     ++m;
     if (kBounded && m < num_m) {
       const float running = HorizontalSum256(acc) + tail_sum;
@@ -123,10 +134,72 @@ float WL2SqAvx2(const float* q, const float* o, const size_t* offsets,
                                    bound, segments);
 }
 
+/// WL2SqAvx2Scan<false> for four rows in one pass. Each row keeps its own
+/// accumulators and goes through the single-row operations in their
+/// order, so each result equals the single-row value bit for bit; the
+/// query chunk is loaded once for the four rows.
+void WL2SqAvx2Rows4(const float* q, const float* const rows[4],
+                    const size_t* offsets, const uint32_t* dims,
+                    const float* weights, size_t num_m, float* out) {
+  __m256 acc[4];
+  float tail_sum[4];
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) {
+    acc[r] = _mm256_setzero_ps();
+    tail_sum[r] = 0.0f;
+  }
+  for (size_t m = 0; m < num_m; ++m) {
+    const float* a = q + offsets[m];
+    const size_t dim = dims[m];
+    const float* b[4];
+    __m256 seg[4];
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r) {
+      b[r] = rows[r] + offsets[m];
+      seg[r] = _mm256_setzero_ps();
+    }
+    size_t i = 0;
+    for (; i + 8 <= dim; i += 8) {
+      const __m256 qa = _mm256_loadu_ps(a + i);
+#pragma GCC unroll 4
+      for (int r = 0; r < 4; ++r) {
+        const __m256 d = _mm256_sub_ps(qa, _mm256_loadu_ps(b[r] + i));
+        seg[r] = _mm256_fmadd_ps(d, d, seg[r]);
+      }
+    }
+    const __m256 w = _mm256_set1_ps(weights[m]);
+#pragma GCC unroll 4
+    for (int r = 0; r < 4; ++r) {
+      acc[r] = _mm256_fmadd_ps(w, seg[r], acc[r]);
+      tail_sum[r] = AddWeightedTail(a, b[r], i, dim, weights[m], tail_sum[r]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < 4; ++r) out[r] = HorizontalSum256(acc[r]) + tail_sum[r];
+}
+
+void WL2SqRowsAvx2(const float* q, const float* base, size_t stride,
+                   const uint32_t* ids, size_t n, const size_t* offsets,
+                   const uint32_t* dims, const float* weights, size_t num_m,
+                   float* out) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float* const rows[4] = {
+        RowAt(base, stride, ids, i), RowAt(base, stride, ids, i + 1),
+        RowAt(base, stride, ids, i + 2), RowAt(base, stride, ids, i + 3)};
+    WL2SqAvx2Rows4(q, rows, offsets, dims, weights, num_m, out + i);
+  }
+  for (; i < n; ++i) {
+    out[i] = WL2SqAvx2Scan<false>(q, RowAt(base, stride, ids, i), offsets,
+                                  dims, weights, num_m, kNoBound, nullptr);
+  }
+}
+
 }  // namespace
 
 const DistanceKernels* Avx2KernelsOrNull() {
-  static const DistanceKernels kTable = {&L2SqAvx2, &DotAvx2, &WL2SqAvx2};
+  static const DistanceKernels kTable = {&L2SqAvx2, &DotAvx2, &WL2SqAvx2,
+                                         &WL2SqRowsAvx2};
   return &kTable;
 }
 

@@ -49,6 +49,17 @@ float WL2SqScalar(const float* q, const float* o, const size_t* offsets,
   return sum;
 }
 
+/// One row at a time through WL2SqScalar.
+void WL2SqRowsScalar(const float* q, const float* base, size_t stride,
+                     const uint32_t* ids, size_t n, const size_t* offsets,
+                     const uint32_t* dims, const float* weights,
+                     size_t num_m, float* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = WL2SqScalar(q, RowAt(base, stride, ids, i), offsets, dims,
+                         weights, num_m, kNoBound, nullptr);
+  }
+}
+
 float DotScalar(const float* a, const float* b, size_t dim) {
   float s0 = 0, s1 = 0, s2 = 0, s3 = 0;
   size_t i = 0;
@@ -67,7 +78,7 @@ float DotScalar(const float* a, const float* b, size_t dim) {
 
 const DistanceKernels& ScalarKernels() {
   static const DistanceKernels kTable = {&L2SqScalar, &DotScalar,
-                                         &WL2SqScalar};
+                                         &WL2SqScalar, &WL2SqRowsScalar};
   return kTable;
 }
 

@@ -75,6 +75,19 @@ struct DistanceKernels {
   float (*wl2sq)(const float* q, const float* o, const size_t* offsets,
                  const uint32_t* dims, const float* weights, size_t num_m,
                  float bound, size_t* segments);
+  /// wl2sq at kNoBound from one `q` to `n` rows: out[i] is bit for bit
+  /// wl2sq(q, row_i, ..., kNoBound, nullptr), where row_i is
+  /// base + ids[i] * stride (a gather), or base + i * stride when `ids` is
+  /// null (a contiguous scan). The SIMD tiers score four rows per pass,
+  /// each with the single-row kernel's operations in its order, and load
+  /// each query chunk once for the four; the four independent chains keep
+  /// four rows' loads in flight, which software prefetching did not
+  /// improve on. The only batched weighted distance:
+  /// WeightedMultiDistance::ExactBatch.
+  void (*wl2sq_rows)(const float* q, const float* base, size_t stride,
+                     const uint32_t* ids, size_t n, const size_t* offsets,
+                     const uint32_t* dims, const float* weights,
+                     size_t num_m, float* out);
 };
 
 /// Table for an explicit tier; tiers compiled out of this build (non-x86

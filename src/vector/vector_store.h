@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/aligned.h"
@@ -107,6 +108,17 @@ class DistanceComputer {
   /// counted).
   virtual float DistanceBetween(uint32_t a, uint32_t b) const = 0;
 
+  /// DistanceBetween(from, ids[i]) into out[i], bit for bit, for every i:
+  /// the one-to-many form the build loops score a candidate list with.
+  /// The default is the per-pair loop; a computer with a batched kernel
+  /// overrides it.
+  virtual void DistancesBetween(uint32_t from, std::span<const uint32_t> ids,
+                                float* out) const {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      out[i] = DistanceBetween(from, ids[i]);
+    }
+  }
+
   virtual size_t dim() const = 0;
   virtual uint32_t size() const = 0;
 };
@@ -170,6 +182,13 @@ class MultiVectorDistanceComputer : public DistanceComputer {
 
   float DistanceBetween(uint32_t a, uint32_t b) const override {
     return dist_.Exact(store_->data(a), store_->data(b));
+  }
+
+  /// One gathered DistanceKernels::wl2sq_rows call over the ids' rows.
+  void DistancesBetween(uint32_t from, std::span<const uint32_t> ids,
+                        float* out) const override {
+    dist_.ExactBatch(store_->data(from), store_->data(0),
+                     store_->row_stride(), ids.data(), ids.size(), out);
   }
 
   void Prefetch(uint32_t id) const override {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace mqa {
 namespace {
 
@@ -136,6 +139,38 @@ TEST(ConfigParserTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseMqaConfigText("learn_weights = maybe").ok());
   // k = 0 would parse and then fail every turn with "k must be > 0".
   EXPECT_FALSE(ParseMqaConfigText("search.k = 0").ok());
+}
+
+TEST(ConfigParserTest, RejectsGraphBuildParamsOutOfRange) {
+  // Each would parse and build a broken graph: a NaN alpha switches
+  // occlusion off, an alpha below 1 strips the graph to a hub, and a
+  // degree or beam past 32 bits would wrap through the uint32_t fields.
+  const std::pair<const char*, const char*> bad[] = {
+      {"index.alpha", "nan"},
+      {"index.alpha", "-1"},
+      {"index.alpha", "0.5"},
+      {"index.alpha", "inf"},
+      {"index.alpha", "1e39"},
+      {"index.max_degree", "0"},
+      {"index.max_degree", "5000000000"},
+      {"index.build_beam", "0"},
+      {"index.build_beam", "5000000000"},
+  };
+  for (const auto& [key, value] : bad) {
+    auto config = ParseMqaConfigText(std::string(key) + " = " + value);
+    EXPECT_FALSE(config.ok()) << key << " = " << value;
+    if (!config.ok()) {
+      EXPECT_NE(config.status().message().find(key), std::string::npos)
+          << config.status().message();
+    }
+  }
+  auto edges = ParseMqaConfigText(
+      "index.alpha = 1\nindex.max_degree = 4294967295\n"
+      "index.build_beam = 1\n");
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ(edges->index.graph.alpha, 1.0f);
+  EXPECT_EQ(edges->index.graph.max_degree, 4294967295u);
+  EXPECT_EQ(edges->index.graph.build_beam, 1u);
 }
 
 TEST(ConfigParserTest, SeedPropagatesToWorld) {

@@ -2,6 +2,10 @@
 //
 //  * NN-Descent is pinned to golden adjacency hashes recorded from the
 //    serial implementation, at every SIMD tier the CPU supports;
+//  * a weighted 4-modality mqa-hybrid build, and ~300 live inserts into a
+//    weighted index, are pinned to golden hashes recorded from the
+//    per-pair build loops (one DistanceBetween per pair, every repeat
+//    offer of a join pool evaluated), at every SIMD tier;
 //  * every pipeline algorithm builds the same graph whether it runs alone
 //    or races three other identical builds for the shared thread pool.
 
@@ -22,7 +26,97 @@ namespace {
 
 using ::mqa::testing::GraphHash;
 using ::mqa::testing::MakeClusteredStore;
+using ::mqa::testing::MakeMultiModalityStore;
 using ::mqa::testing::MakeTwoModalityStore;
+
+constexpr SimdLevel kLevels[] = {SimdLevel::kScalar, SimdLevel::kAvx2,
+                                 SimdLevel::kAvx512};
+
+/// The perfbench `multimodal` row shape: four 32-dim modalities, all
+/// weighted, so every distance is a 4-segment kernel call.
+const std::vector<uint32_t> kFourModalities = {32, 32, 32, 32};
+const std::vector<float> kFourWeights = {0.4f, 0.3f, 0.2f, 0.1f};
+
+std::unique_ptr<DistanceComputer> FourModalityDistance(
+    const VectorStore* store) {
+  auto weighted = WeightedMultiDistance::Create(store->schema(), kFourWeights);
+  EXPECT_TRUE(weighted.ok());
+  return std::make_unique<MultiVectorDistanceComputer>(
+      store, *std::move(weighted), /*enable_pruning=*/true);
+}
+
+GraphBuildConfig FourModalityConfig() {
+  GraphBuildConfig config;
+  config.algorithm = "mqa-hybrid";
+  config.max_degree = 16;
+  config.build_beam = 40;
+  config.nn_descent_k = 20;
+  config.seed = 9;
+  return config;
+}
+
+uint64_t IndexHash(const GraphIndex& index) {
+  uint64_t h = GraphHash(index.graph());
+  for (uint32_t e : index.entry_points()) h = h * 31 + e;
+  return h;
+}
+
+/// A 4-modality weighted mqa-hybrid build over 1500 rows.
+uint64_t FourModalityBuildHash() {
+  const VectorStore store =
+      MakeMultiModalityStore(1500, kFourModalities, /*seed=*/61);
+  auto index = BuildGraphIndex(FourModalityConfig(), &store,
+                               FourModalityDistance(&store));
+  EXPECT_TRUE(index.ok());
+  return index.ok() ? IndexHash(**index) : 0;
+}
+
+/// A weighted build over 900 rows, then 300 live inserts: every insert
+/// prunes its own pool and the backlinks that overflow the degree bound.
+uint64_t WeightedInsertHash() {
+  const VectorStore full =
+      MakeMultiModalityStore(1200, kFourModalities, /*seed=*/67);
+  VectorStore store(full.schema());
+  for (uint32_t i = 0; i < 900; ++i) (void)store.Add(full.Row(i));
+  GraphBuildConfig config = FourModalityConfig();
+  config.max_degree = 12;
+  auto index = BuildGraphIndex(config, &store, FourModalityDistance(&store));
+  EXPECT_TRUE(index.ok());
+  if (!index.ok()) return 0;
+  for (uint32_t i = 900; i < full.size(); ++i) {
+    EXPECT_TRUE(store.Add(full.Row(i)).ok());
+    EXPECT_TRUE(InsertIntoGraphIndex(index->get(), &store, i, config).ok());
+  }
+  return IndexHash(**index);
+}
+
+// As with NNDescentGoldenTest, no tier's rounding reaches a decision on
+// these stores, so one hash holds at every tier.
+TEST(WeightedBuildGoldenTest, FourModalityHybridBuildMatchesAtEverySimdLevel) {
+  constexpr uint64_t kGolden = 0xafe05b0a958913f1ull;
+  const SimdLevel saved = ActiveSimdLevel();
+  for (SimdLevel level : kLevels) {
+    if (!CpuSupports(level)) continue;
+    ASSERT_TRUE(SetSimdLevel(level).ok());
+    const uint64_t got = FourModalityBuildHash();
+    EXPECT_EQ(got, kGolden) << SimdLevelName(level) << " got 0x" << std::hex
+                            << got;
+  }
+  ASSERT_TRUE(SetSimdLevel(saved).ok());
+}
+
+TEST(WeightedBuildGoldenTest, LiveInsertsMatchAtEverySimdLevel) {
+  constexpr uint64_t kGolden = 0xe78fead1dc36dbd6ull;
+  const SimdLevel saved = ActiveSimdLevel();
+  for (SimdLevel level : kLevels) {
+    if (!CpuSupports(level)) continue;
+    ASSERT_TRUE(SetSimdLevel(level).ok());
+    const uint64_t got = WeightedInsertHash();
+    EXPECT_EQ(got, kGolden) << SimdLevelName(level) << " got 0x" << std::hex
+                            << got;
+  }
+  ASSERT_TRUE(SetSimdLevel(saved).ok());
+}
 
 uint64_t FlatNNDescentHash() {
   const VectorStore store = MakeClusteredStore(1000, 16, 8, /*seed=*/7);

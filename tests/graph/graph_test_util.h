@@ -48,15 +48,24 @@ inline VectorStore MakeClusteredStore(uint32_t n, uint32_t dim,
   return store;
 }
 
-/// A clustered 16-dim store re-laid out as two 8-dim modalities, so the
-/// weighted multi-vector kernel scores it.
-inline VectorStore MakeTwoModalityStore(uint32_t n, uint64_t seed) {
-  const VectorStore flat = MakeClusteredStore(n, 16, 8, seed);
+/// A clustered store re-laid out as one modality per entry of `dims`, so
+/// the weighted multi-vector kernel scores it one segment per modality.
+inline VectorStore MakeMultiModalityStore(uint32_t n,
+                                          std::vector<uint32_t> dims,
+                                          uint64_t seed) {
+  uint32_t total = 0;
+  for (uint32_t d : dims) total += d;
+  const VectorStore flat = MakeClusteredStore(n, total, 8, seed);
   VectorSchema schema;
-  schema.dims = {8, 8};
+  schema.dims = std::move(dims);
   VectorStore store(schema);
   for (uint32_t i = 0; i < flat.size(); ++i) (void)store.Add(flat.Row(i));
   return store;
+}
+
+/// A clustered 16-dim store re-laid out as two 8-dim modalities.
+inline VectorStore MakeTwoModalityStore(uint32_t n, uint64_t seed) {
+  return MakeMultiModalityStore(n, {8, 8}, seed);
 }
 
 /// Exact k-nearest neighbors by linear scan (L2).

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/metrics.h"
 #include "graph/nn_descent.h"
 #include "graph_test_util.h"
@@ -54,6 +56,25 @@ TEST(RobustPruneTest, RespectsMaxDegreeAndRemovesSelfDuplicates) {
   // No duplicates.
   std::set<uint32_t> unique(selected.begin(), selected.end());
   EXPECT_EQ(unique.size(), selected.size());
+}
+
+TEST(RobustPruneTest, AnIdOfferedTwiceCountsAtItsSmallerDistance) {
+  // 1D points: node at 0, then 1, 2 and -3. Id 2 is offered at its true
+  // distance (4) and, first, at a smaller one (0.5). At 0.5 it is the
+  // nearest candidate: selected first, it occludes id 1 (d(2,1) = 1 <= 1)
+  // but not id 3 (d(2,3) = 25 > 9). Kept at 4, id 1 would be selected
+  // first and occlude it instead.
+  VectorSchema schema;
+  schema.dims = {1};
+  VectorStore store(schema);
+  for (float x : {0.f, 1.f, 2.f, -3.f}) {
+    ASSERT_TRUE(store.Add({x}).ok());
+  }
+  FlatDistanceComputer dist(&store, Metric::kL2);
+  const std::vector<Neighbor> candidates = {
+      {4.0f, 2}, {1.0f, 1}, {9.0f, 3}, {0.5f, 2}};
+  EXPECT_EQ(RobustPrune(0, candidates, 1.0f, 8, &dist),
+            (std::vector<uint32_t>{2, 3}));
 }
 
 TEST(RobustPruneTest, LargerAlphaKeepsMoreNeighbors) {
@@ -128,6 +149,60 @@ TEST(BuildGraphIndexTest, ValidatesConfig) {
 
   config.max_degree = 8;
   EXPECT_FALSE(BuildGraphIndex(config, &store, nullptr).ok());
+}
+
+TEST(BuildGraphIndexTest, RejectsAlphaAndBeamOutOfRange) {
+  // A NaN alpha switches occlusion off (degree = max_degree everywhere);
+  // alpha = -1 occludes almost every candidate and connectivity repair
+  // then hangs the graph off one hub.
+  VectorStore store = MakeClusteredStore(200, 8, 4, 16);
+  auto build = [&store](const GraphBuildConfig& config) {
+    return BuildGraphIndex(
+        config, &store,
+        std::make_unique<FlatDistanceComputer>(&store, Metric::kL2));
+  };
+  GraphBuildConfig config;
+  config.max_degree = 8;
+  for (float alpha : {std::numeric_limits<float>::quiet_NaN(), -1.0f, 0.99f,
+                      std::numeric_limits<float>::infinity()}) {
+    config.alpha = alpha;
+    auto index = build(config);
+    ASSERT_FALSE(index.ok()) << "alpha " << alpha;
+    EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
+  }
+  config.alpha = 1.0f;
+  config.build_beam = 0;
+  EXPECT_FALSE(build(config).ok());
+  config.build_beam = 16;
+  EXPECT_TRUE(build(config).ok());
+}
+
+TEST(BuildGraphIndexTest, InsertRejectsAlphaAndBeamOutOfRange) {
+  VectorStore full = MakeClusteredStore(101, 8, 4, 17);
+  VectorStore store(full.schema());
+  for (uint32_t i = 0; i < 100; ++i) ASSERT_TRUE(store.Add(full.Row(i)).ok());
+  GraphBuildConfig config;
+  config.max_degree = 8;
+  auto index = BuildGraphIndex(
+      config, &store,
+      std::make_unique<FlatDistanceComputer>(&store, Metric::kL2));
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE(store.Add(full.Row(100)).ok());
+  GraphBuildConfig bad = config;
+  bad.alpha = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_FALSE(InsertIntoGraphIndex(index->get(), &store, 100, bad).ok());
+  bad = config;
+  bad.alpha = -1.0f;
+  EXPECT_FALSE(InsertIntoGraphIndex(index->get(), &store, 100, bad).ok());
+  bad = config;
+  bad.build_beam = 0;
+  EXPECT_FALSE(InsertIntoGraphIndex(index->get(), &store, 100, bad).ok());
+  bad = config;
+  bad.max_degree = 0;
+  EXPECT_FALSE(InsertIntoGraphIndex(index->get(), &store, 100, bad).ok());
+  // The rejected calls left the graph as it was.
+  EXPECT_EQ((*index)->size(), 100u);
+  EXPECT_TRUE(InsertIntoGraphIndex(index->get(), &store, 100, config).ok());
 }
 
 struct AlgoParam {

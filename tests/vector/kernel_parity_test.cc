@@ -1,16 +1,20 @@
 // Fuzz gate for the runtime-dispatched SIMD kernels: every compiled tier
 // must agree with the scalar reference within a ulp-scaled tolerance on
 // adversarial inputs (remainder tails 1..15, denormals, mixed magnitudes),
-// and the bounded (incremental-scanning) distance must abandon only when
-// the true distance exceeds its bound. Seeded via MQA_CHAOS_SEED so the
-// nightly soak rotates inputs; MQA_CHAOS_ITERS multiplies the round count.
+// the bounded (incremental-scanning) distance must abandon only when the
+// true distance exceeds its bound, and within each tier the batched rows
+// entry and DistancesBetween must equal the single-row calls bit for bit.
+// Seeded via MQA_CHAOS_SEED so the nightly soak rotates inputs;
+// MQA_CHAOS_ITERS multiplies the round count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -240,13 +244,137 @@ TEST_F(KernelParityTest, BatchIsBitwiseIdenticalToPerRow) {
     const auto q = AdversarialVector(schema.TotalDim(), &rng);
 
     std::vector<float> batch(n);
-    wd->ExactBatch(q.data(), store.data(0), store.row_stride(), n,
-                   batch.data());
+    wd->ExactBatch(q.data(), store.data(0), store.row_stride(),
+                   /*ids=*/nullptr, n, batch.data());
     for (uint32_t i = 0; i < n; ++i) {
       EXPECT_EQ(batch[i], wd->Exact(q.data(), store.data(i)))
           << "row " << i << " must be bitwise identical";
     }
   }
+}
+
+uint32_t Bits(float v) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST_F(KernelParityTest, GatheredRowsEqualTheSingleRowKernelAtEveryTier) {
+  // Every segment count 1-5, every first-segment dim 1-70 (the later
+  // segments' dims rotate through the same range, so every vector tail
+  // and scalar tail length occurs), and every row count 0-9 (no, one or
+  // two 4-row blocks, and each leftover count), gathered and contiguous.
+  Rng rng(ChaosSeed() + 3);
+  constexpr size_t kTableRows = 12;
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (!CpuSupports(level)) continue;
+    const DistanceKernels& kernels = KernelsFor(level);
+    for (size_t num_m = 1; num_m <= 5; ++num_m) {
+      for (uint32_t dim = 1; dim <= 70; ++dim) {
+        std::vector<uint32_t> seg_dims(num_m);
+        std::vector<size_t> seg_offsets(num_m);
+        size_t total = 0;
+        for (size_t m = 0; m < num_m; ++m) {
+          seg_dims[m] = (dim - 1 + 13 * static_cast<uint32_t>(m)) % 70 + 1;
+          seg_offsets[m] = total;
+          total += seg_dims[m];
+        }
+        // The kernel scans segments in the caller's order, which is not
+        // the layout order (heaviest weight first).
+        std::vector<size_t> offsets(num_m);
+        std::vector<uint32_t> dims(num_m);
+        std::vector<float> weights(num_m);
+        for (size_t m = 0; m < num_m; ++m) {
+          const size_t from = (m + dim) % num_m;
+          offsets[m] = seg_offsets[from];
+          dims[m] = seg_dims[from];
+          weights[m] = static_cast<float>(rng.UniformDouble(0.1, 4.0));
+        }
+        const size_t stride = (total + 15) / 16 * 16;
+        std::vector<float> table(kTableRows * stride, 0.0f);
+        for (size_t r = 0; r < kTableRows; ++r) {
+          const auto row = AdversarialVector(total, &rng);
+          std::copy(row.begin(), row.end(), table.begin() + r * stride);
+        }
+        const auto q = AdversarialVector(total, &rng);
+        auto single = [&](size_t row) {
+          return kernels.wl2sq(q.data(), table.data() + row * stride,
+                               offsets.data(), dims.data(), weights.data(),
+                               num_m, kNoBound, nullptr);
+        };
+        for (size_t n = 0; n <= 9; ++n) {
+          std::vector<uint32_t> ids(n);
+          for (uint32_t& id : ids) {
+            id = static_cast<uint32_t>(rng.UniformInt(0, kTableRows - 1));
+          }
+          std::vector<float> gathered(n + 1, -1.0f);
+          std::vector<float> contiguous(n + 1, -1.0f);
+          kernels.wl2sq_rows(q.data(), table.data(), stride, ids.data(), n,
+                             offsets.data(), dims.data(), weights.data(),
+                             num_m, gathered.data());
+          kernels.wl2sq_rows(q.data(), table.data(), stride, nullptr, n,
+                             offsets.data(), dims.data(), weights.data(),
+                             num_m, contiguous.data());
+          for (size_t i = 0; i < n; ++i) {
+            SCOPED_TRACE(::testing::Message()
+                         << SimdLevelName(level) << " segments=" << num_m
+                         << " dim=" << dim << " n=" << n << " row=" << i);
+            EXPECT_EQ(Bits(gathered[i]), Bits(single(ids[i])));
+            EXPECT_EQ(Bits(contiguous[i]), Bits(single(i)));
+          }
+          // Nothing is written past the n rows.
+          EXPECT_EQ(gathered[n], -1.0f);
+          EXPECT_EQ(contiguous[n], -1.0f);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KernelParityTest, DistancesBetweenEqualsThePerPairLoop) {
+  Rng rng(ChaosSeed() + 4);
+  VectorSchema schema;
+  schema.dims = {19, 32, 7, 45};
+  VectorStore store(schema);
+  for (int i = 0; i < 40; ++i) {
+    (void)store.Add(AdversarialVector(schema.TotalDim(), &rng));
+  }
+  auto weighted =
+      WeightedMultiDistance::Create(schema, {0.5f, 2.0f, 0.0f, 1.25f});
+  ASSERT_TRUE(weighted.ok());
+  const MultiVectorDistanceComputer multi(&store, *std::move(weighted),
+                                          /*enable_pruning=*/true);
+  const FlatDistanceComputer l2(&store, Metric::kL2);
+  const FlatDistanceComputer ip(&store, Metric::kInnerProduct);
+  const FlatDistanceComputer cosine(&store, Metric::kCosine);
+  const SimdLevel saved = ActiveSimdLevel();
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (!CpuSupports(level)) continue;
+    ASSERT_TRUE(SetSimdLevel(level).ok());
+    for (const DistanceComputer* dist :
+         {static_cast<const DistanceComputer*>(&multi),
+          static_cast<const DistanceComputer*>(&l2),
+          static_cast<const DistanceComputer*>(&ip),
+          static_cast<const DistanceComputer*>(&cosine)}) {
+      for (size_t n : {0, 1, 3, 4, 5, 8, 13, 40}) {
+        std::vector<uint32_t> ids(n);
+        for (uint32_t& id : ids) {
+          id = static_cast<uint32_t>(rng.UniformInt(0, store.size() - 1));
+        }
+        const uint32_t from =
+            static_cast<uint32_t>(rng.UniformInt(0, store.size() - 1));
+        std::vector<float> got(n);
+        dist->DistancesBetween(from, ids, got.data());
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(Bits(got[i]), Bits(dist->DistanceBetween(from, ids[i])))
+              << SimdLevelName(level) << " n=" << n << " i=" << i;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(SetSimdLevel(saved).ok());
 }
 
 }  // namespace
