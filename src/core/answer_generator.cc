@@ -23,18 +23,6 @@ std::string AnswerGenerator::ExtractiveAnswer(
   return answer;
 }
 
-Result<std::string> AnswerGenerator::Generate(
-    const std::string& query_text,
-    const std::vector<RetrievedItem>& context) {
-  GenerationOutcome outcome;
-  Result<std::string> answer =
-      GenerateTurn(query_text, context, &builder_, &outcome);
-  last_prompt_ = std::move(outcome.prompt);
-  last_used_fallback_ = outcome.used_fallback;
-  last_failure_ = outcome.failure;
-  return answer;
-}
-
 Result<std::string> AnswerGenerator::GenerateTurn(
     const std::string& query_text, const std::vector<RetrievedItem>& context,
     PromptBuilder* builder, GenerationOutcome* outcome) const {

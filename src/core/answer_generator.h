@@ -13,7 +13,7 @@ namespace mqa {
 
 /// Side-channel outputs of one generation round (the prompt that was sent
 /// and the fallback disposition), returned explicitly by GenerateTurn so
-/// concurrent serving threads never share mutable generator state.
+/// concurrent turns never share mutable generator state.
 struct GenerationOutcome {
   std::string prompt;  ///< full prompt sent to the LLM (empty without LLM)
   bool used_fallback = false;
@@ -30,56 +30,34 @@ struct GenerationOutcome {
 /// (kUnavailable from an open circuit breaker, kDeadlineExceeded,
 /// kResourceExhausted), the generator degrades to the same extractive
 /// listing instead of failing the whole round — the retrieved results are
-/// the answer. Permanent errors still propagate. The last round's fallback
-/// state is observable via last_used_fallback()/last_failure().
+/// the answer. Permanent errors still propagate. Each round's fallback
+/// disposition is reported in its GenerationOutcome.
 class AnswerGenerator {
  public:
   /// `llm` may be null (no-LLM mode).
   AnswerGenerator(std::unique_ptr<LanguageModel> llm, float temperature)
       : llm_(std::move(llm)), temperature_(temperature) {}
 
-  /// Produces the user-facing answer for one round and records the turn in
-  /// the dialogue history.
-  Result<std::string> Generate(const std::string& query_text,
-                               const std::vector<RetrievedItem>& context);
-
-  /// Stateless flavour for the concurrent serving path: the dialogue
-  /// history lives in the caller-owned `builder` (one per session) and
-  /// the per-round telemetry in `outcome`, so concurrent calls with
-  /// distinct builders are safe — this object is only read. The turn is
-  /// recorded into `builder` exactly as Generate records into the
-  /// internal one. `builder` and `outcome` must be non-null.
+  /// Produces the user-facing answer for one round and records the turn
+  /// in `builder`, the conversation's history; the prompt sent and the
+  /// fallback disposition go to `outcome`. This object is only read, so
+  /// concurrent calls with distinct builders are safe. `builder` and
+  /// `outcome` must be non-null.
   Result<std::string> GenerateTurn(const std::string& query_text,
                                    const std::vector<RetrievedItem>& context,
                                    PromptBuilder* builder,
                                    GenerationOutcome* outcome) const;
 
-  void ClearHistory() { builder_.ClearHistory(); }
-  size_t history_size() const { return builder_.history_size(); }
   bool has_llm() const { return llm_ != nullptr; }
   const LanguageModel* llm() const { return llm_.get(); }
-
-  /// The last prompt sent to the LLM (for the status panel and tests).
-  const std::string& last_prompt() const { return last_prompt_; }
-
-  /// True when the most recent Generate() degraded to the extractive
-  /// answer because the LLM was unreachable.
-  bool last_used_fallback() const { return last_used_fallback_; }
-  /// The LLM failure that triggered the most recent fallback (OK when the
-  /// last round did not fall back).
-  const Status& last_failure() const { return last_failure_; }
 
  private:
   /// The no-LLM answer: a formatted listing of the retrieved context.
   static std::string ExtractiveAnswer(
       const std::vector<RetrievedItem>& context, bool llm_down);
 
-  PromptBuilder builder_;
   std::unique_ptr<LanguageModel> llm_;
   float temperature_;
-  std::string last_prompt_;
-  bool last_used_fallback_ = false;
-  Status last_failure_ = Status::OK();
 };
 
 }  // namespace mqa

@@ -128,8 +128,8 @@ struct MqaConfig {
   // --- Retrieval ---
   std::string framework = "must";  ///< "must" | "mr" | "je"
   /// Fault-isolated sharded retrieval over `framework` (src/shard/):
-  /// partitioned corpus, fan-out with per-shard breakers, hedging and a
-  /// partial-result quorum. Off by default (single index, as before).
+  /// partitioned corpus, fan-out with per-shard breakers, deadline slices
+  /// and a partial-result quorum. Off by default (single index, as before).
   ShardOptions shard;
   SearchParams search;             ///< default k and beam width
   /// Resolve vague follow-ups ("show me more") against dialogue history

@@ -1,10 +1,14 @@
 #include "core/config_parser.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/string_util.h"
 
@@ -19,39 +23,235 @@ Result<bool> ParseBool(const std::string& key, const std::string& value) {
   return Status::InvalidArgument("bad boolean for " + key + ": " + value);
 }
 
-Result<uint64_t> ParseUint(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("bad integer for " + key + ": " + value);
+/// Parses `value` into a field of type T. Integers must fit the field.
+template <typename T>
+Status ParseInto(const std::string& key, const std::string& value, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    MQA_ASSIGN_OR_RETURN(*out, ParseBool(key, value));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    *out = value;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char* end = nullptr;
+    if constexpr (std::is_same_v<T, float>) {
+      *out = std::strtof(value.c_str(), &end);
+    } else {
+      *out = std::strtod(value.c_str(), &end);
+    }
+    if (end == value.c_str() || *end != '\0') {
+      return Status::InvalidArgument("bad float for " + key + ": " + value);
+    }
+  } else {
+    const char* last = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), last, *out);
+    if (ec == std::errc::result_out_of_range) {
+      return Status::InvalidArgument(key + " is out of range: " + value);
+    }
+    if (ec != std::errc() || ptr != last) {
+      return Status::InvalidArgument("bad integer for " + key + ": " + value);
+    }
   }
-  return static_cast<uint64_t>(v);
+  return Status::OK();
 }
 
-/// A count that must fit the uint32_t field it fills and be at least 1.
-Result<uint32_t> ParseUint32Count(const std::string& key,
-                                  const std::string& value) {
-  MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-  if (v == 0 || v > UINT32_MAX) {
-    return Status::InvalidArgument(key + " must be in [1, " +
-                                   std::to_string(UINT32_MAX) + "]: " + value);
+/// Renders a field so that ParseInto reads back the same value: floats
+/// as the shortest text that round-trips.
+template <typename T>
+std::string FormatValue(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   }
-  return static_cast<uint32_t>(v);
 }
 
-Result<float> ParseFloat(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const float v = std::strtof(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::InvalidArgument("bad float for " + key + ": " + value);
-  }
-  return v;
+/// One configuration key: `parse` applies a value to a config, and
+/// `write` renders the config's setting back in a form `parse` accepts
+/// (empty = nothing to write). The parser and the writer both read
+/// ConfigKeys(), so every key the parser accepts is also written.
+struct ConfigKey {
+  const char* name;
+  std::function<Status(const std::string& value, MqaConfig* config)> parse;
+  std::function<std::string(const MqaConfig& config)> write;
+};
+
+/// A key bound to one field (`field(config)` returns a reference to it),
+/// parsed by the field's type. `then` runs after a successful parse, to
+/// validate the value or derive another setting from it.
+template <typename Field>
+ConfigKey Bind(const char* name, Field field,
+               Status (*then)(MqaConfig*) = nullptr) {
+  return ConfigKey{
+      name,
+      [name, field, then](const std::string& value, MqaConfig* c) -> Status {
+        MQA_RETURN_NOT_OK(ParseInto(name, value, &field(*c)));
+        return then != nullptr ? then(c) : Status::OK();
+      },
+      [field](const MqaConfig& c) { return FormatValue(field(c)); }};
 }
 
-void EnsureNoiseSize(MqaConfig* config) {
-  if (config->world.modality_noise.size() < 2) {
-    config->world.modality_noise.resize(2, 0.1f);
-  }
+/// world.image_noise / world.text_noise: one slot of modality_noise,
+/// which a parse grows to two slots (missing slots default to 0.1).
+ConfigKey NoiseKey(const char* name, size_t slot) {
+  return ConfigKey{
+      name,
+      [name, slot](const std::string& value, MqaConfig* c) -> Status {
+        std::vector<float>& noise = c->world.modality_noise;
+        if (noise.size() < 2) noise.resize(2, 0.1f);
+        return ParseInto(name, value, &noise[slot]);
+      },
+      [slot](const MqaConfig& c) {
+        const std::vector<float>& noise = c.world.modality_noise;
+        return slot < noise.size() ? FormatValue(noise[slot]) : std::string();
+      }};
+}
+
+Status CheckCount(const char* key, uint32_t v) {
+  return v > 0 ? Status::OK()
+               : Status::InvalidArgument(std::string(key) + " must be >= 1");
+}
+
+/// Every key, in the order MqaConfigToText writes them. Order matters
+/// where a key derives another: `seed` sets world.seed, and
+/// world.latent_dim may grow world.raw_image_dim, so each precedes the
+/// key that overrides what it derived.
+const std::vector<ConfigKey>& ConfigKeys() {
+  static const std::vector<ConfigKey> keys = {
+      Bind("enable_knowledge_base",
+           [](auto& c) -> auto& { return c.enable_knowledge_base; }),
+      Bind("corpus_size", [](auto& c) -> auto& { return c.corpus_size; }),
+      Bind("kb_name", [](auto& c) -> auto& { return c.kb_name; }),
+      Bind("encoder", [](auto& c) -> auto& { return c.encoder_preset; }),
+      Bind("embedding_dim", [](auto& c) -> auto& { return c.embedding_dim; }),
+      Bind("learn_weights", [](auto& c) -> auto& { return c.learn_weights; }),
+      Bind("training_triplets",
+           [](auto& c) -> auto& { return c.num_training_triplets; }),
+      Bind("index.algorithm",
+           [](auto& c) -> auto& { return c.index.algorithm; }),
+      Bind("index.max_degree",
+           [](auto& c) -> auto& { return c.index.graph.max_degree; },
+           [](MqaConfig* c) {
+             const uint32_t v = c->index.graph.max_degree;
+             c->index.hnsw.m = std::max<uint32_t>(2, v / 2);
+             return CheckCount("index.max_degree", v);
+           }),
+      Bind("index.build_beam",
+           [](auto& c) -> auto& { return c.index.graph.build_beam; },
+           [](MqaConfig* c) {
+             c->index.hnsw.ef_construction = c->index.graph.build_beam;
+             return CheckCount("index.build_beam", c->index.graph.build_beam);
+           }),
+      // NaN would switch RobustPrune's occlusion off, and alpha < 1
+      // occludes nearly every candidate (see BuildGraphIndex).
+      Bind("index.alpha", [](auto& c) -> auto& { return c.index.graph.alpha; },
+           [](MqaConfig* c) {
+             const float alpha = c->index.graph.alpha;
+             if (std::isfinite(alpha) && alpha >= 1.0f) return Status::OK();
+             return Status::InvalidArgument(
+                 "index.alpha must be finite and >= 1: " + FormatValue(alpha));
+           }),
+      Bind("simd.level", [](auto& c) -> auto& { return c.simd_level; }),
+      Bind("framework", [](auto& c) -> auto& { return c.framework; }),
+      Bind("search.k", [](auto& c) -> auto& { return c.search.k; },
+           [](MqaConfig* c) {
+             return c->search.k > 0
+                        ? Status::OK()
+                        : Status::InvalidArgument("search.k must be > 0");
+           }),
+      Bind("search.beam_width",
+           [](auto& c) -> auto& { return c.search.beam_width; }),
+      Bind("rewrite_vague_queries",
+           [](auto& c) -> auto& { return c.rewrite_vague_queries; }),
+      Bind("llm", [](auto& c) -> auto& { return c.llm; }),
+      Bind("temperature", [](auto& c) -> auto& { return c.temperature; }),
+      Bind("resilience.enable",
+           [](auto& c) -> auto& { return c.resilience.enable; }),
+      Bind("resilience.llm_max_attempts",
+           [](auto& c) -> auto& { return c.resilience.llm_max_attempts; }),
+      Bind("resilience.llm_backoff_ms",
+           [](auto& c) -> auto& {
+             return c.resilience.llm_initial_backoff_ms;
+           }),
+      Bind("resilience.llm_deadline_ms",
+           [](auto& c) -> auto& {
+             return c.resilience.llm_overall_deadline_ms;
+           }),
+      Bind("resilience.breaker_threshold",
+           [](auto& c) -> auto& {
+             return c.resilience.breaker_failure_threshold;
+           }),
+      Bind("resilience.breaker_open_ms",
+           [](auto& c) -> auto& { return c.resilience.breaker_open_ms; }),
+      Bind("resilience.encoder_max_attempts",
+           [](auto& c) -> auto& { return c.resilience.encoder_max_attempts; }),
+      Bind("resilience.io_error_budget",
+           [](auto& c) -> auto& { return c.index.disk.io_error_budget; }),
+      Bind("serving.num_workers",
+           [](auto& c) -> auto& { return c.serving.num_workers; }),
+      Bind("serving.queue_capacity",
+           [](auto& c) -> auto& { return c.serving.queue_capacity; }),
+      Bind("serving.default_deadline_ms",
+           [](auto& c) -> auto& { return c.serving.default_deadline_ms; }),
+      Bind("serving.breaker_threshold",
+           [](auto& c) -> auto& {
+             return c.serving.breaker_failure_threshold;
+           }),
+      Bind("serving.breaker_open_ms",
+           [](auto& c) -> auto& { return c.serving.breaker_open_ms; }),
+      Bind("shard.enable", [](auto& c) -> auto& { return c.shard.enable; }),
+      Bind("shard.num_shards",
+           [](auto& c) -> auto& { return c.shard.num_shards; }),
+      Bind("shard.quorum", [](auto& c) -> auto& { return c.shard.quorum; }),
+      Bind("shard.partition",
+           [](auto& c) -> auto& { return c.shard.partition; }),
+      Bind("shard.deadline_fraction",
+           [](auto& c) -> auto& { return c.shard.deadline_fraction; }),
+      Bind("shard.fanout_threads",
+           [](auto& c) -> auto& { return c.shard.fanout_threads; }),
+      Bind("shard.breaker_threshold",
+           [](auto& c) -> auto& { return c.shard.breaker_failure_threshold; }),
+      Bind("shard.breaker_open_ms",
+           [](auto& c) -> auto& { return c.shard.breaker_open_ms; }),
+      Bind("observability.trace_turns",
+           [](auto& c) -> auto& { return c.observability.trace_turns; }),
+      Bind("observability.explain_turns",
+           [](auto& c) -> auto& { return c.observability.explain_turns; }),
+      Bind("observability.trace_build",
+           [](auto& c) -> auto& { return c.observability.trace_build; }),
+      Bind("seed", [](auto& c) -> auto& { return c.seed; },
+           [](MqaConfig* c) {
+             c->world.seed = c->seed;
+             return Status::OK();
+           }),
+      Bind("world.num_concepts",
+           [](auto& c) -> auto& { return c.world.num_concepts; }),
+      Bind("world.latent_dim",
+           [](auto& c) -> auto& { return c.world.latent_dim; },
+           [](MqaConfig* c) {
+             if (c->world.raw_image_dim < c->world.latent_dim) {
+               c->world.raw_image_dim = c->world.latent_dim * 2;
+             }
+             return Status::OK();
+           }),
+      Bind("world.raw_image_dim",
+           [](auto& c) -> auto& { return c.world.raw_image_dim; }),
+      Bind("world.seed", [](auto& c) -> auto& { return c.world.seed; }),
+      Bind("world.words_per_concept",
+           [](auto& c) -> auto& { return c.world.words_per_concept; }),
+      Bind("world.adjectives_per_noun",
+           [](auto& c) -> auto& { return c.world.adjectives_per_noun; }),
+      Bind("world.extra_modalities",
+           [](auto& c) -> auto& { return c.world.num_extra_modalities; }),
+      Bind("world.object_noise",
+           [](auto& c) -> auto& { return c.world.object_noise; }),
+      Bind("world.adjective_dropout",
+           [](auto& c) -> auto& { return c.world.text_adjective_dropout; }),
+      NoiseKey("world.image_noise", 0),
+      NoiseKey("world.text_noise", 1),
+  };
+  return keys;
 }
 
 }  // namespace
@@ -72,184 +272,30 @@ Result<MqaConfig> ParseMqaConfig(const std::vector<std::string>& lines) {
       return Status::InvalidArgument("line " + std::to_string(lineno + 1) +
                                      ": empty key or value");
     }
-
-    if (key == "enable_knowledge_base") {
-      MQA_ASSIGN_OR_RETURN(config.enable_knowledge_base,
-                           ParseBool(key, value));
-    } else if (key == "corpus_size") {
-      MQA_ASSIGN_OR_RETURN(config.corpus_size, ParseUint(key, value));
-    } else if (key == "kb_name") {
-      config.kb_name = value;
-    } else if (key == "encoder") {
-      config.encoder_preset = value;
-    } else if (key == "embedding_dim") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.embedding_dim = static_cast<uint32_t>(v);
-    } else if (key == "learn_weights") {
-      MQA_ASSIGN_OR_RETURN(config.learn_weights, ParseBool(key, value));
-    } else if (key == "training_triplets") {
-      MQA_ASSIGN_OR_RETURN(config.num_training_triplets,
-                           ParseUint(key, value));
-    } else if (key == "index.algorithm") {
-      config.index.algorithm = value;
-    } else if (key == "index.max_degree") {
-      MQA_ASSIGN_OR_RETURN(uint32_t v, ParseUint32Count(key, value));
-      config.index.graph.max_degree = v;
-      config.index.hnsw.m = std::max<uint32_t>(2, v / 2);
-    } else if (key == "index.build_beam") {
-      MQA_ASSIGN_OR_RETURN(uint32_t v, ParseUint32Count(key, value));
-      config.index.graph.build_beam = v;
-      config.index.hnsw.ef_construction = v;
-    } else if (key == "index.alpha") {
-      // NaN would switch RobustPrune's occlusion off, and alpha < 1
-      // occludes nearly every candidate (see BuildGraphIndex).
-      MQA_ASSIGN_OR_RETURN(float alpha, ParseFloat(key, value));
-      if (!std::isfinite(alpha) || alpha < 1.0f) {
-        return Status::InvalidArgument(
-            "index.alpha must be finite and >= 1: " + value);
-      }
-      config.index.graph.alpha = alpha;
-    } else if (key == "simd.level") {
-      config.simd_level = value;
-    } else if (key == "framework") {
-      config.framework = value;
-    } else if (key == "search.k") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      if (v == 0) return Status::InvalidArgument("search.k must be > 0");
-      config.search.k = v;
-    } else if (key == "search.beam_width") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.search.beam_width = v;
-    } else if (key == "rewrite_vague_queries") {
-      MQA_ASSIGN_OR_RETURN(config.rewrite_vague_queries,
-                           ParseBool(key, value));
-    } else if (key == "llm") {
-      config.llm = value;
-    } else if (key == "temperature") {
-      MQA_ASSIGN_OR_RETURN(config.temperature, ParseFloat(key, value));
-    } else if (key == "resilience.enable") {
-      MQA_ASSIGN_OR_RETURN(config.resilience.enable, ParseBool(key, value));
-    } else if (key == "resilience.llm_max_attempts") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.resilience.llm_max_attempts = static_cast<int>(v);
-    } else if (key == "resilience.llm_backoff_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.resilience.llm_initial_backoff_ms = v;
-    } else if (key == "resilience.llm_deadline_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.resilience.llm_overall_deadline_ms = v;
-    } else if (key == "resilience.breaker_threshold") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.resilience.breaker_failure_threshold = static_cast<int>(v);
-    } else if (key == "resilience.breaker_open_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.resilience.breaker_open_ms = v;
-    } else if (key == "resilience.encoder_max_attempts") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.resilience.encoder_max_attempts = static_cast<int>(v);
-    } else if (key == "resilience.io_error_budget") {
-      MQA_ASSIGN_OR_RETURN(config.index.disk.io_error_budget,
-                           ParseUint(key, value));
-    } else if (key == "serving.num_workers") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.serving.num_workers = static_cast<size_t>(v);
-    } else if (key == "serving.queue_capacity") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.serving.queue_capacity = static_cast<size_t>(v);
-    } else if (key == "serving.default_deadline_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.serving.default_deadline_ms = v;
-    } else if (key == "serving.breaker_threshold") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.serving.breaker_failure_threshold = static_cast<int>(v);
-    } else if (key == "serving.breaker_open_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.serving.breaker_open_ms = v;
-    } else if (key == "shard.enable") {
-      MQA_ASSIGN_OR_RETURN(config.shard.enable, ParseBool(key, value));
-    } else if (key == "shard.num_shards") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.shard.num_shards = static_cast<size_t>(v);
-    } else if (key == "shard.quorum") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.shard.quorum = static_cast<size_t>(v);
-    } else if (key == "shard.partition") {
-      config.shard.partition = value;
-    } else if (key == "shard.hedge_percentile") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.shard.hedge_percentile = v;
-    } else if (key == "shard.hedge_min_samples") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.shard.hedge_min_samples = static_cast<size_t>(v);
-    } else if (key == "shard.deadline_fraction") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.shard.deadline_fraction = v;
-    } else if (key == "shard.fanout_threads") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.shard.fanout_threads = static_cast<size_t>(v);
-    } else if (key == "shard.breaker_threshold") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.shard.breaker_failure_threshold = static_cast<int>(v);
-    } else if (key == "shard.breaker_open_ms") {
-      MQA_ASSIGN_OR_RETURN(float v, ParseFloat(key, value));
-      config.shard.breaker_open_ms = v;
-    } else if (key == "observability.trace_turns") {
-      MQA_ASSIGN_OR_RETURN(config.observability.trace_turns,
-                           ParseBool(key, value));
-    } else if (key == "observability.explain_turns") {
-      MQA_ASSIGN_OR_RETURN(config.observability.explain_turns,
-                           ParseBool(key, value));
-    } else if (key == "observability.trace_build") {
-      MQA_ASSIGN_OR_RETURN(config.observability.trace_build,
-                           ParseBool(key, value));
-    } else if (key == "seed") {
-      MQA_ASSIGN_OR_RETURN(config.seed, ParseUint(key, value));
-      config.world.seed = config.seed;
-    } else if (key == "world.num_concepts") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.num_concepts = static_cast<uint32_t>(v);
-    } else if (key == "world.latent_dim") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.latent_dim = static_cast<uint32_t>(v);
-      if (config.world.raw_image_dim < v) {
-        config.world.raw_image_dim = static_cast<uint32_t>(v) * 2;
-      }
-    } else if (key == "world.seed") {
-      MQA_ASSIGN_OR_RETURN(config.world.seed, ParseUint(key, value));
-    } else if (key == "world.raw_image_dim") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.raw_image_dim = static_cast<uint32_t>(v);
-    } else if (key == "world.words_per_concept") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.words_per_concept = static_cast<uint32_t>(v);
-    } else if (key == "world.adjectives_per_noun") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.adjectives_per_noun = static_cast<uint32_t>(v);
-    } else if (key == "world.extra_modalities") {
-      MQA_ASSIGN_OR_RETURN(uint64_t v, ParseUint(key, value));
-      config.world.num_extra_modalities = static_cast<uint32_t>(v);
-    } else if (key == "world.object_noise") {
-      MQA_ASSIGN_OR_RETURN(config.world.object_noise, ParseFloat(key, value));
-    } else if (key == "world.adjective_dropout") {
-      MQA_ASSIGN_OR_RETURN(config.world.text_adjective_dropout,
-                           ParseFloat(key, value));
-    } else if (key == "world.image_noise") {
-      EnsureNoiseSize(&config);
-      MQA_ASSIGN_OR_RETURN(config.world.modality_noise[0],
-                           ParseFloat(key, value));
-    } else if (key == "world.text_noise") {
-      EnsureNoiseSize(&config);
-      MQA_ASSIGN_OR_RETURN(config.world.modality_noise[1],
-                           ParseFloat(key, value));
-    } else {
+    const std::vector<ConfigKey>& keys = ConfigKeys();
+    const auto it = std::find_if(keys.begin(), keys.end(),
+                                 [&key](const ConfigKey& k) {
+                                   return key == k.name;
+                                 });
+    if (it == keys.end()) {
       return Status::InvalidArgument("unknown config key: " + key);
     }
+    MQA_RETURN_NOT_OK(it->parse(value, &config));
   }
   return config;
 }
 
 Result<MqaConfig> ParseMqaConfigText(const std::string& text) {
   return ParseMqaConfig(Split(text, '\n'));
+}
+
+std::string MqaConfigToText(const MqaConfig& config) {
+  std::string out;
+  for (const ConfigKey& key : ConfigKeys()) {
+    const std::string value = key.write(config);
+    if (!value.empty()) out += std::string(key.name) + " = " + value + "\n";
+  }
+  return out;
 }
 
 }  // namespace mqa

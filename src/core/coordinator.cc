@@ -205,7 +205,7 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Create(
 }
 
 Result<AnswerTurn> Coordinator::Ask(const UserQuery& query) {
-  return AskWithState(query, nullptr);
+  return AskWithState(query, &dialogue_);
 }
 
 Result<AnswerTurn> Coordinator::AskWithState(const UserQuery& query,
@@ -242,10 +242,6 @@ Result<AnswerTurn> Coordinator::AskWithState(const UserQuery& query,
 
 Result<AnswerTurn> Coordinator::RunTurn(const UserQuery& query,
                                         DialogueState* state) {
-  // Dialogue state: the caller's per-session copy on the serving path,
-  // the coordinator's own single-conversation members otherwise.
-  ContextualQueryRewriter& rewriter =
-      state != nullptr ? state->rewriter : rewriter_;
   AnswerTurn turn;
   if (config_.enable_knowledge_base) {
     Timer timer;
@@ -254,7 +250,8 @@ Result<AnswerTurn> Coordinator::RunTurn(const UserQuery& query,
     UserQuery effective = query;
     if (config_.rewrite_vague_queries && !query.text.empty()) {
       Span rewrite_span("coordinator/rewrite");
-      Result<std::string> rewritten = rewriter.RewriteChecked(query.text);
+      Result<std::string> rewritten =
+          state->rewriter.RewriteChecked(query.text);
       if (rewritten.ok()) {
         effective.text = std::move(rewritten).Value();
         if (effective.text != query.text) {
@@ -273,7 +270,7 @@ Result<AnswerTurn> Coordinator::RunTurn(const UserQuery& query,
         return rewritten.status();
       }
     }
-    if (!query.text.empty()) rewriter.ObserveTurn(query.text);
+    if (!query.text.empty()) state->rewriter.ObserveTurn(query.text);
     MQA_ASSIGN_OR_RETURN(QueryOutcome outcome,
                          executor_->Execute(effective, config_.search));
     for (const std::string& note : outcome.degradation) {
@@ -291,19 +288,11 @@ Result<AnswerTurn> Coordinator::RunTurn(const UserQuery& query,
   GenerationOutcome generation;
   {
     Span span("coordinator/answer");
-    if (state != nullptr) {
-      // Serving path: generate against the session's own prompt history
-      // (GenerateTurn is const and thread-safe across sessions).
-      MQA_ASSIGN_OR_RETURN(
-          turn.answer,
-          answer_generator_->GenerateTurn(query.text, turn.items,
-                                          &state->prompt, &generation));
-    } else {
-      MQA_ASSIGN_OR_RETURN(
-          turn.answer, answer_generator_->Generate(query.text, turn.items));
-      generation.used_fallback = answer_generator_->last_used_fallback();
-      generation.failure = answer_generator_->last_failure();
-    }
+    // GenerateTurn is const: the conversation's prompt history lives in
+    // `state`, so turns of distinct conversations can run at once.
+    MQA_ASSIGN_OR_RETURN(
+        turn.answer, answer_generator_->GenerateTurn(
+                         query.text, turn.items, &state->prompt, &generation));
   }
   if (generation.used_fallback) {
     turn.degradation_notes.push_back(
@@ -635,11 +624,6 @@ Status Coordinator::SetWeights(std::vector<float> weights) {
   MQA_RETURN_NOT_OK(framework_->SetWeights(weights));
   represented_.weights = std::move(weights);
   return Status::OK();
-}
-
-void Coordinator::ResetDialogue() {
-  answer_generator_->ClearHistory();
-  rewriter_.Clear();
 }
 
 }  // namespace mqa

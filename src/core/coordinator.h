@@ -56,10 +56,10 @@ class Coordinator {
       const MqaConfig& config, KnowledgeBase kb, VectorStore store,
       std::vector<float> weights, std::istream* index_blob);
 
-  /// Per-conversation dialogue state, externalized so a serving layer can
-  /// keep one per session: the query rewriter's topical history and the
-  /// prompt builder's turn history. The coordinator's own Ask() keeps
-  /// using its internal (single-conversation) state.
+  /// Per-conversation dialogue state: the query rewriter's topical
+  /// history and the prompt builder's turn history. Each conversation
+  /// owns one (a Session, a server session); Ask() uses the coordinator's
+  /// own.
   struct DialogueState {
     ContextualQueryRewriter rewriter;
     PromptBuilder prompt;
@@ -70,10 +70,11 @@ class Coordinator {
     }
   };
 
-  /// Runs one QA round end to end.
+  /// Runs one QA round end to end in the coordinator's own conversation
+  /// (AskWithState on its built-in DialogueState).
   Result<AnswerTurn> Ask(const UserQuery& query);
 
-  /// Ask() against caller-owned dialogue state. With distinct `state`
+  /// Runs one QA round of the conversation `state`. With distinct `state`
   /// objects this is safe to call from concurrent threads (the serving
   /// path): per-turn mutable state lives in `state`, and Retrieve is
   /// re-entrant, so concurrent turns search at once. `state` must be
@@ -142,14 +143,16 @@ class Coordinator {
   /// observability.trace_build is off).
   const Trace* build_trace() const { return build_trace_.get(); }
 
-  /// Resets the dialogue history (a fresh conversation).
-  void ResetDialogue();
+  /// Resets Ask()'s conversation (a fresh dialogue).
+  void ResetDialogue() { dialogue_.Clear(); }
+
+  /// Ask()'s conversation.
+  const DialogueState& dialogue() const { return dialogue_; }
 
  private:
   Coordinator() = default;
 
-  /// The body of Ask(): runs under the turn's ambient trace. A null
-  /// `state` uses the coordinator's single-conversation members.
+  /// The body of AskWithState(): runs under the turn's ambient trace.
   Result<AnswerTurn> RunTurn(const UserQuery& query, DialogueState* state);
 
   /// Auto-compaction gate: threshold + interval throttle + breaker. Only
@@ -170,7 +173,7 @@ class Coordinator {
   std::shared_ptr<Trace> build_trace_;
   std::unique_ptr<QueryExecutor> executor_;
   std::unique_ptr<AnswerGenerator> answer_generator_;
-  ContextualQueryRewriter rewriter_;
+  DialogueState dialogue_;  ///< Ask()'s conversation
   std::unique_ptr<CircuitBreaker> compaction_breaker_;
   int64_t last_compaction_micros_ = 0;  ///< 0 = never compacted
   uint64_t compactions_ = 0;

@@ -20,56 +20,6 @@ std::string PathJoin(const std::string& dir, const char* file) {
 
 }  // namespace
 
-std::string MqaConfigToText(const MqaConfig& config) {
-  std::string out;
-  auto line = [&out](const std::string& key, const std::string& value) {
-    out += key + " = " + value + "\n";
-  };
-  line("enable_knowledge_base",
-       config.enable_knowledge_base ? "true" : "false");
-  line("corpus_size", std::to_string(config.corpus_size));
-  line("kb_name", config.kb_name);
-  line("encoder", config.encoder_preset);
-  line("embedding_dim", std::to_string(config.embedding_dim));
-  line("learn_weights", config.learn_weights ? "true" : "false");
-  line("training_triplets", std::to_string(config.num_training_triplets));
-  line("index.algorithm", config.index.algorithm);
-  line("index.max_degree", std::to_string(config.index.graph.max_degree));
-  line("index.build_beam", std::to_string(config.index.graph.build_beam));
-  line("index.alpha", FormatDouble(config.index.graph.alpha, 3));
-  line("framework", config.framework);
-  line("search.k", std::to_string(config.search.k));
-  line("search.beam_width", std::to_string(config.search.beam_width));
-  line("rewrite_vague_queries",
-       config.rewrite_vague_queries ? "true" : "false");
-  line("llm", config.llm);
-  line("temperature", FormatDouble(config.temperature, 3));
-  line("seed", std::to_string(config.seed));
-  line("world.num_concepts", std::to_string(config.world.num_concepts));
-  line("world.latent_dim", std::to_string(config.world.latent_dim));
-  line("world.raw_image_dim", std::to_string(config.world.raw_image_dim));
-  // After the top-level seed, which also assigns world.seed.
-  line("world.seed", std::to_string(config.world.seed));
-  line("world.words_per_concept",
-       std::to_string(config.world.words_per_concept));
-  line("world.adjectives_per_noun",
-       std::to_string(config.world.adjectives_per_noun));
-  line("world.extra_modalities",
-       std::to_string(config.world.num_extra_modalities));
-  line("world.object_noise", FormatDouble(config.world.object_noise, 4));
-  line("world.adjective_dropout",
-       FormatDouble(config.world.text_adjective_dropout, 4));
-  if (!config.world.modality_noise.empty()) {
-    line("world.image_noise",
-         FormatDouble(config.world.modality_noise[0], 4));
-  }
-  if (config.world.modality_noise.size() > 1) {
-    line("world.text_noise",
-         FormatDouble(config.world.modality_noise[1], 4));
-  }
-  return out;
-}
-
 Status SaveSystemState(const Coordinator& coordinator,
                        const std::string& dir) {
   if (!coordinator.config().enable_knowledge_base) {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "core/config_parser.h"
 #include "core/coordinator.h"
 
 namespace mqa {
@@ -38,10 +39,6 @@ Result<std::unique_ptr<Coordinator>> LoadSystemState(const std::string& dir);
 /// resilience options) that the text round-trip would drop.
 Result<std::unique_ptr<Coordinator>> LoadSystemStateWithConfig(
     const MqaConfig& config, const std::string& dir);
-
-/// Serializes a config back into config-parser syntax (the subset of keys
-/// the parser understands; see config_parser.h).
-std::string MqaConfigToText(const MqaConfig& config);
 
 }  // namespace mqa
 

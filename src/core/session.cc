@@ -18,7 +18,8 @@ Result<AnswerTurn> Session::AskWithImage(const std::string& text,
 }
 
 Result<AnswerTurn> Session::Run(UserQuery query) {
-  MQA_ASSIGN_OR_RETURN(AnswerTurn turn, coordinator_->Ask(query));
+  MQA_ASSIGN_OR_RETURN(AnswerTurn turn,
+                       coordinator_->AskWithState(query, &dialogue_));
   last_results_ = turn.items;
   ++rounds_;
   return turn;
@@ -36,7 +37,7 @@ void Session::Reset() {
   last_results_.clear();
   selected_.reset();
   rounds_ = 0;
-  coordinator_->ResetDialogue();
+  dialogue_.Clear();
 }
 
 }  // namespace mqa

@@ -12,7 +12,9 @@ namespace mqa {
 /// An interactive multi-round dialogue over a Coordinator — the QA panel's
 /// behaviour: ask in text, click a result, refine, repeat. The clicked
 /// result's image augments every subsequent query until a new selection or
-/// Reset() (the paper's iterative refinement feedback loop).
+/// Reset() (the paper's iterative refinement feedback loop). Each session
+/// keeps its own dialogue state, so sessions over one coordinator never
+/// see each other's history.
 class Session {
  public:
   /// `coordinator` is borrowed and must outlive the session.
@@ -35,13 +37,14 @@ class Session {
   }
   size_t rounds() const { return rounds_; }
 
-  /// Clears the selection, results, and dialogue history.
+  /// Clears the selection, results, and this session's dialogue history.
   void Reset();
 
  private:
   Result<AnswerTurn> Run(UserQuery query);
 
   Coordinator* coordinator_;
+  Coordinator::DialogueState dialogue_;  ///< this session's conversation
   std::vector<RetrievedItem> last_results_;
   std::optional<uint64_t> selected_;
   size_t rounds_ = 0;

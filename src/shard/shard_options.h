@@ -13,7 +13,7 @@ class Clock;
 /// exactly as before. When enabled, the encoded corpus is partitioned into
 /// `num_shards` independent per-shard frameworks; queries fan out on a
 /// thread pool and merge per-shard top-k, with per-shard circuit breakers,
-/// hedged requests and a partial-result quorum bounding the blast radius
+/// deadline slices and a partial-result quorum bounding the blast radius
 /// of a slow or faulty shard.
 struct ShardOptions {
   bool enable = false;
@@ -28,13 +28,6 @@ struct ShardOptions {
   /// construction) or "hash" (multiplicative id hash — models arbitrary
   /// placement).
   std::string partition = "round-robin";
-
-  /// Hedging: when a shard's primary attempt exceeds this percentile of
-  /// its own latency histogram, a hedge attempt is issued against the same
-  /// shard and the faster of the two wins. 0 disables hedging; thresholds
-  /// only activate once the histogram holds `hedge_min_samples` samples.
-  double hedge_percentile = 95.0;
-  size_t hedge_min_samples = 16;
 
   /// Fraction of the query's remaining deadline budget granted to each
   /// shard attempt (per-shard deadline slice). Only applies to queries

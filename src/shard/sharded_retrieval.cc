@@ -165,8 +165,6 @@ Result<std::unique_ptr<ShardedRetrieval>> ShardedRetrieval::Create(
   fw->fanouts_ = metrics.GetCounter("shard/fanouts");
   fw->degraded_ = metrics.GetCounter("shard/degraded_fanouts");
   fw->quorum_failures_ = metrics.GetCounter("shard/quorum_failures");
-  fw->hedges_ = metrics.GetCounter("shard/hedges");
-  fw->hedge_wins_ = metrics.GetCounter("shard/hedge_wins");
   fw->breaker_skips_ = metrics.GetCounter("shard/breaker_skips");
   fw->shard_errors_ = metrics.GetCounter("shard/shard_errors");
   fw->shard_timeouts_ = metrics.GetCounter("shard/shard_timeouts");
@@ -299,66 +297,26 @@ void ShardedRetrieval::RunShardAttempt(size_t shard_index,
   // injectable failure domain), then the real per-shard search. Elapsed
   // time flows through the framework clock, so injected latency spikes on
   // a MockClock are observed exactly.
-  auto attempt_once = [&](Result<RetrievalResult>* result) -> double {
-    const int64_t start = clk->NowMicros();
-    const Status injected = FaultInjector::Global().Check(shard.fault_point);
-    if (injected.ok()) {
-      *result = shard.framework->Retrieve(query, local_params);
-    } else {
-      *result = injected;
-    }
-    return static_cast<double>(clk->NowMicros() - start) / 1e3;
-  };
+  const int64_t start = clk->NowMicros();
+  const Status injected = FaultInjector::Global().Check(shard.fault_point);
+  Result<RetrievalResult> result =
+      injected.ok() ? shard.framework->Retrieve(query, local_params)
+                    : Result<RetrievalResult>(injected);
+  const int64_t elapsed_micros = clk->NowMicros() - start;
+  out->outcome.latency_ms = static_cast<double>(elapsed_micros) / 1e3;
 
-  // Adaptive hedge threshold: a percentile of this shard's own history,
-  // frozen before the primary attempt so the spike being judged does not
-  // move its own bar.
-  double threshold_ms = -1.0;
-  if (options_.hedge_percentile > 0.0 &&
-      shard.latency_hist.count() >=
-          static_cast<uint64_t>(options_.hedge_min_samples)) {
-    threshold_ms =
-        shard.latency_hist.Snapshot().Percentile(options_.hedge_percentile);
-  }
-
-  Result<RetrievalResult> primary = Status::Internal("unset");
-  const double primary_ms = attempt_once(&primary);
-  shard.latency_hist.Record(primary_ms);
-
-  Result<RetrievalResult> winner = std::move(primary);
-  double effective_ms = primary_ms;
-  // Hedge: the primary crossed the shard's adaptive threshold, so a real
-  // deployment would have a second request in flight since threshold_ms.
-  // Evaluate that race on virtual time (see the class comment): hedge
-  // completion = threshold + hedge latency; the faster outcome wins.
-  if (threshold_ms >= 0.0 && primary_ms > threshold_ms) {
-    out->outcome.hedged = true;
-    hedges_->Increment();
-    Result<RetrievalResult> hedge = Status::Internal("unset");
-    const double hedge_ms = attempt_once(&hedge);
-    const double hedge_done_ms = threshold_ms + hedge_ms;
-    if (hedge.ok() && (!winner.ok() || hedge_done_ms < effective_ms)) {
-      winner = std::move(hedge);
-      effective_ms = hedge_done_ms;
-      out->outcome.hedge_won = true;
-      hedge_wins_->Increment();
-    }
-  }
-  out->outcome.latency_ms = effective_ms;
-
-  if (!winner.ok()) {
+  if (!result.ok()) {
     out->outcome.kind = ShardOutcomeKind::kError;
-    out->outcome.status = winner.status();
+    out->outcome.status = result.status();
     shard_errors_->Increment();
     // Only retryable statuses count as shard failures inside Record.
-    shard.breaker->Record(winner.status());
+    shard.breaker->Record(result.status());
     return;
   }
   // Deadline slice: a result arriving after this shard's budget cannot be
   // waited for by the merge — it is dropped, and the miss feeds the
   // breaker like any other failure of the fault domain.
-  if (budget_micros > 0 &&
-      effective_ms * 1e3 > static_cast<double>(budget_micros)) {
+  if (budget_micros > 0 && elapsed_micros > budget_micros) {
     out->outcome.kind = ShardOutcomeKind::kTimeout;
     out->outcome.status = Status::DeadlineExceeded(
         "shard " + std::to_string(shard_index) + " exceeded its deadline slice");
@@ -368,7 +326,7 @@ void ShardedRetrieval::RunShardAttempt(size_t shard_index,
   }
   shard.breaker->RecordSuccess();
   out->outcome.kind = ShardOutcomeKind::kOk;
-  out->result = std::move(winner).Value();
+  out->result = std::move(result).Value();
 }
 
 Result<RetrievalResult> ShardedRetrieval::Retrieve(
@@ -398,33 +356,13 @@ Result<RetrievalResult> ShardedRetrieval::Retrieve(
   // slip through (e.g. a shard whose own tombstones lag behind).
   const SearchParams effective = WithoutTombstones(params);
 
-  // Fan out one task per shard. Completion is a counter + CondVar (the
-  // DAG scheduler idiom); `state.mu` is a leaf mutex — tasks take it only
-  // after all shard work is done, and never while holding another lock.
-  struct FanoutState {
-    Mutex mu;
-    CondVar cv;
-    size_t pending MQA_GUARDED_BY(mu) = 0;
-  } state;
+  // One pool task per shard; ParallelFor returns once every attempt has
+  // finished, and rethrows an exception escaping one of them.
   const size_t num_shards = shards_.size();
   std::vector<ShardAttempt> attempts(num_shards);
-  {
-    MutexLock lock(&state.mu);
-    state.pending = num_shards;
-  }
-  for (size_t s = 0; s < num_shards; ++s) {
-    fanout_pool_->Post(
-        [this, s, &query, &effective, budget_micros, &state, &attempts] {
-          RunShardAttempt(s, query, effective, budget_micros, &attempts[s]);
-          MutexLock lock(&state.mu);
-          --state.pending;
-          state.cv.NotifyAll();
-        });
-  }
-  {
-    MutexLock lock(&state.mu);
-    while (state.pending > 0) state.cv.Wait(&state.mu);
-  }
+  fanout_pool_->ParallelFor(num_shards, [&](size_t s) {
+    RunShardAttempt(s, query, effective, budget_micros, &attempts[s]);
+  });
 
   // Merge the contributing shards' top-k into the global top-k, mapping
   // local row ids back to corpus ids, and fold their stats together.

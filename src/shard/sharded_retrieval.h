@@ -9,7 +9,6 @@
 #include "common/circuit_breaker.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "common/sync.h"
 #include "common/thread_pool.h"
 #include "graph/pipeline.h"
 #include "retrieval/factory.h"
@@ -21,7 +20,7 @@ namespace mqa {
 /// How one shard's participation in one fan-out ended.
 enum class ShardOutcomeKind {
   kOk,           ///< responded in time; its top-k entered the merge
-  kError,        ///< attempt (and hedge, if any) failed
+  kError,        ///< the attempt failed
   kTimeout,      ///< responded after its deadline slice; result dropped
   kBreakerOpen,  ///< skipped outright: its circuit breaker is open
 };
@@ -32,9 +31,7 @@ const char* ShardOutcomeKindToString(ShardOutcomeKind kind);
 /// instead of on process-global metrics).
 struct ShardOutcome {
   ShardOutcomeKind kind = ShardOutcomeKind::kOk;
-  double latency_ms = 0.0;  ///< effective latency (hedge-adjusted)
-  bool hedged = false;      ///< a hedge attempt was issued
-  bool hedge_won = false;   ///< the hedge beat the primary
+  double latency_ms = 0.0;  ///< the attempt's elapsed time on the clock
   Status status;            ///< detail for kError / kBreakerOpen
 };
 
@@ -54,26 +51,19 @@ struct FanoutReport {
 ///  * Fault domains: every shard attempt passes the FaultInjector point
 ///    `shard/<id>/search` and its own CircuitBreaker; a repeatedly failing
 ///    shard is skipped (not retried) while healthy shards keep serving.
-///  * Hedged requests: a primary attempt slower than an adaptive threshold
-///    (a percentile of the shard's own latency histogram) is raced against
-///    a hedge attempt on the same shard; the faster result wins. Because
-///    the repo forbids timed waits, the hedge is evaluated *after* the
-///    primary completes, on virtual time: the hedge is modeled as launched
-///    the moment the primary crossed the threshold, so its completion time
-///    is threshold + hedge_latency — equivalent schedules, zero timers.
 ///  * Partial-result quorum: per-shard deadline slices are derived from
-///    the query deadline; a query succeeds when >= quorum shards respond
-///    in time. Missing shards surface as stats.shards_ok < shards_total
-///    (a degradation note upstream), never as silently truncated results.
+///    the query deadline, and an attempt whose elapsed time exceeds its
+///    slice is dropped; a query succeeds when >= quorum shards respond in
+///    time. Missing shards surface as stats.shards_ok < shards_total (a
+///    degradation note upstream), never as silently truncated results.
 ///
 /// Thread-safety: like every RetrievalFramework, Retrieve is const and
 /// re-entrant. Concurrent fan-outs share the pool, the (re-entrant) shard
-/// frameworks, the breakers (mutex-guarded) and latency histograms
-/// (atomic); per-shard outcomes go to the caller's FanoutReport.
-/// Per-query completion is tracked with a function-local Mutex/CondVar (a
-/// leaf in the lock hierarchy: no other lock is ever held while it is
-/// acquired, and shard attempts acquire it only after all retrieval work
-/// is done).
+/// frameworks and the breakers (mutex-guarded); per-shard outcomes go to
+/// the caller's FanoutReport. A fan-out is one ThreadPool::ParallelFor
+/// over the shards: it returns once every shard attempt has finished, and
+/// rethrows to the caller an exception escaping one (a throwing filter,
+/// say).
 class ShardedRetrieval : public RetrievalFramework {
  public:
   /// Partitions `corpus`, builds one `framework_name` framework per shard
@@ -148,22 +138,18 @@ class ShardedRetrieval : public RetrievalFramework {
 
  private:
   /// One fault domain: an independent slice of the corpus with its own
-  /// framework, breaker, latency histogram and metrics.
+  /// framework and breaker.
   struct Shard {
     std::shared_ptr<VectorStore> store;  ///< mutable: live ingestion appends
     std::vector<uint32_t> global_ids;  ///< local row id -> corpus id
     std::unique_ptr<RetrievalFramework> framework;
     std::unique_ptr<CircuitBreaker> breaker;
-    /// Per-instance latency distribution feeding the adaptive hedge
-    /// threshold (the process-global registry would bleed state across
-    /// instances and tests).
-    Histogram latency_hist{Histogram::DefaultLatencyBoundsMs()};
     std::string fault_point;  ///< "shard/<id>/search"
   };
 
   /// Everything one shard contributes to one fan-out. Each slot is
   /// written by exactly one pool task and read by the fan-out caller only
-  /// after the completion mutex round-trip (which publishes the writes).
+  /// after ParallelFor returns (its futures publish the writes).
   struct ShardAttempt {
     ShardOutcome outcome;
     RetrievalResult result;  ///< meaningful when outcome.kind == kOk
@@ -171,8 +157,8 @@ class ShardedRetrieval : public RetrievalFramework {
 
   ShardedRetrieval() = default;
 
-  /// Runs one shard's gate -> primary -> (maybe) hedge -> classify
-  /// sequence. Never touches state shared with other shards.
+  /// Runs one shard's gate -> attempt -> classify sequence. Never touches
+  /// state shared with other shards.
   void RunShardAttempt(size_t shard_index, const RetrievalQuery& query,
                        const SearchParams& params, int64_t budget_micros,
                        ShardAttempt* out) const;
@@ -190,8 +176,6 @@ class ShardedRetrieval : public RetrievalFramework {
   Counter* fanouts_ = nullptr;
   Counter* degraded_ = nullptr;         ///< merged with missing shards
   Counter* quorum_failures_ = nullptr;  ///< fan-outs below quorum
-  Counter* hedges_ = nullptr;
-  Counter* hedge_wins_ = nullptr;
   Counter* breaker_skips_ = nullptr;
   Counter* shard_errors_ = nullptr;
   Counter* shard_timeouts_ = nullptr;

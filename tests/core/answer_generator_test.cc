@@ -15,31 +15,40 @@ std::vector<RetrievedItem> SomeItems() {
 TEST(AnswerGeneratorTest, GroundedAnswerWithLlm) {
   AnswerGenerator gen(std::make_unique<SimLlm>(1), 0.0f);
   EXPECT_TRUE(gen.has_llm());
-  auto answer = gen.Generate("show me cheese", SomeItems());
+  PromptBuilder history;
+  GenerationOutcome outcome;
+  auto answer =
+      gen.GenerateTurn("show me cheese", SomeItems(), &history, &outcome);
   ASSERT_TRUE(answer.ok());
   EXPECT_NE(answer->find("moldy cheese"), std::string::npos);
-  EXPECT_EQ(gen.history_size(), 1u);
+  EXPECT_EQ(history.history_size(), 1u);
   // The assembled prompt is observable.
-  EXPECT_NE(gen.last_prompt().find("[CONTEXT]"), std::string::npos);
-  EXPECT_NE(gen.last_prompt().find("[QUERY] show me cheese"),
-            std::string::npos);
+  EXPECT_NE(outcome.prompt.find("[CONTEXT]"), std::string::npos);
+  EXPECT_NE(outcome.prompt.find("[QUERY] show me cheese"), std::string::npos);
 }
 
 TEST(AnswerGeneratorTest, HistoryFlowsIntoNextPrompt) {
   AnswerGenerator gen(std::make_unique<SimLlm>(1), 0.0f);
-  ASSERT_TRUE(gen.Generate("first question", SomeItems()).ok());
-  ASSERT_TRUE(gen.Generate("second question", SomeItems()).ok());
-  EXPECT_NE(gen.last_prompt().find("[HISTORY]"), std::string::npos);
-  EXPECT_NE(gen.last_prompt().find("user: first question"),
-            std::string::npos);
-  gen.ClearHistory();
-  EXPECT_EQ(gen.history_size(), 0u);
+  PromptBuilder history;
+  GenerationOutcome outcome;
+  ASSERT_TRUE(
+      gen.GenerateTurn("first question", SomeItems(), &history, &outcome)
+          .ok());
+  ASSERT_TRUE(
+      gen.GenerateTurn("second question", SomeItems(), &history, &outcome)
+          .ok());
+  EXPECT_NE(outcome.prompt.find("[HISTORY]"), std::string::npos);
+  EXPECT_NE(outcome.prompt.find("user: first question"), std::string::npos);
+  history.ClearHistory();
+  EXPECT_EQ(history.history_size(), 0u);
 }
 
 TEST(AnswerGeneratorTest, NoLlmFallsBackToFormattedListing) {
   AnswerGenerator gen(nullptr, 0.0f);
   EXPECT_FALSE(gen.has_llm());
-  auto answer = gen.Generate("anything", SomeItems());
+  PromptBuilder history;
+  GenerationOutcome outcome;
+  auto answer = gen.GenerateTurn("anything", SomeItems(), &history, &outcome);
   ASSERT_TRUE(answer.ok());
   EXPECT_NE(answer->find("Retrieved 2 results"), std::string::npos);
   EXPECT_NE(answer->find("1) object #1"), std::string::npos);
@@ -47,7 +56,9 @@ TEST(AnswerGeneratorTest, NoLlmFallsBackToFormattedListing) {
 
 TEST(AnswerGeneratorTest, NoLlmNoResults) {
   AnswerGenerator gen(nullptr, 0.0f);
-  auto answer = gen.Generate("anything", {});
+  PromptBuilder history;
+  GenerationOutcome outcome;
+  auto answer = gen.GenerateTurn("anything", {}, &history, &outcome);
   ASSERT_TRUE(answer.ok());
   EXPECT_NE(answer->find("No results"), std::string::npos);
 }

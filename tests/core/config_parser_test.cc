@@ -101,8 +101,6 @@ TEST(ConfigParserTest, ParsesShardKeys) {
       "shard.num_shards = 8\n"
       "shard.quorum = 5\n"
       "shard.partition = hash\n"
-      "shard.hedge_percentile = 99\n"
-      "shard.hedge_min_samples = 32\n"
       "shard.deadline_fraction = 0.75\n"
       "shard.fanout_threads = 2\n"
       "shard.breaker_threshold = 3\n"
@@ -112,8 +110,6 @@ TEST(ConfigParserTest, ParsesShardKeys) {
   EXPECT_EQ(config->shard.num_shards, 8u);
   EXPECT_EQ(config->shard.quorum, 5u);
   EXPECT_EQ(config->shard.partition, "hash");
-  EXPECT_DOUBLE_EQ(config->shard.hedge_percentile, 99.0);
-  EXPECT_EQ(config->shard.hedge_min_samples, 32u);
   EXPECT_NEAR(config->shard.deadline_fraction, 0.75, 1e-6);
   EXPECT_EQ(config->shard.fanout_threads, 2u);
   EXPECT_EQ(config->shard.breaker_failure_threshold, 3);

@@ -122,9 +122,9 @@ TEST_F(CoordinatorTest, DialogueHistoryResets) {
   UserQuery query;
   query.text = "find " + coordinator_->world().ConceptName(2);
   ASSERT_TRUE(coordinator_->Ask(query).ok());
-  EXPECT_GT(coordinator_->answer_generator()->history_size(), 0u);
+  EXPECT_GT(coordinator_->dialogue().prompt.history_size(), 0u);
   coordinator_->ResetDialogue();
-  EXPECT_EQ(coordinator_->answer_generator()->history_size(), 0u);
+  EXPECT_EQ(coordinator_->dialogue().prompt.history_size(), 0u);
 }
 
 TEST(CoordinatorConfigTest, RejectsBadConfigs) {

@@ -99,5 +99,26 @@ TEST_F(SessionTest, SelectionPersistsAcrossRounds) {
   session.Reset();
 }
 
+TEST_F(SessionTest, SessionsKeepTheirOwnDialogue) {
+  // Two sessions over one coordinator: B's vague follow-up is not
+  // resolved against A's topic, and resetting A leaves B's history alone.
+  Session a(coordinator_);
+  Session b(coordinator_);
+  const std::string topic = coordinator_->world().ConceptName(5);
+  ASSERT_TRUE(a.Ask("i would like some images of " + topic).ok());
+  coordinator_->monitor().Clear();
+  ASSERT_TRUE(b.Ask("show me more please").ok());
+  EXPECT_EQ(coordinator_->monitor().Render().find("rewrote vague query"),
+            std::string::npos);
+
+  ASSERT_TRUE(b.Ask("find " + coordinator_->world().ConceptName(6)).ok());
+  a.Reset();
+  coordinator_->monitor().Clear();
+  ASSERT_TRUE(b.Ask("show me more please").ok());
+  EXPECT_NE(coordinator_->monitor().Render().find("rewrote vague query"),
+            std::string::npos);
+  b.Reset();
+}
+
 }  // namespace
 }  // namespace mqa

@@ -20,8 +20,8 @@ using ::mqa::testing::MakeSharded;
 using ::mqa::testing::PrepareShardCorpus;
 
 /// Chaos suite of the sharded fan-out. Every test runs on a MockClock —
-/// injected latency spikes, deadline slices, hedges and breaker cool-downs
-/// all advance virtual time only; the suite performs zero real sleeps.
+/// injected latency spikes, deadline slices and breaker cool-downs all
+/// advance virtual time only; the suite performs zero real sleeps.
 ///
 /// The soak job (chaos-soak.yml) cranks the iteration count and rotates
 /// the fault schedule through MQA_CHAOS_ITERS / MQA_CHAOS_SEED.
@@ -64,7 +64,6 @@ class ShardChaosTest : public ::testing::Test {
     options.quorum = quorum;
     options.fanout_threads = 1;
     options.clock = &clock_;
-    options.hedge_percentile = 0.0;  // tests opt in explicitly
     return options;
   }
 
@@ -174,42 +173,6 @@ TEST_F(ShardChaosTest, BreakerIsolatesFlappingShardAndRecovers) {
   EXPECT_EQ(result->stats.shards_ok, 3u);
 }
 
-TEST_F(ShardChaosTest, HedgeFiresOnInjectedLatencySpike) {
-  ShardOptions options = ChaosOptions(2, 1);
-  options.hedge_percentile = 90.0;
-  options.hedge_min_samples = 4;
-  auto fw = MakeSharded(*corpus_, options, BruteForceIndex());
-  ASSERT_TRUE(fw.ok());
-
-  // Warm the per-shard latency histograms past hedge_min_samples; on the
-  // MockClock every clean attempt takes exactly 0 virtual ms.
-  for (int i = 0; i < 4; ++i) {
-    FanoutReport report;
-    ASSERT_TRUE((*fw)->Retrieve(Query(3), Params(), &report).ok());
-    EXPECT_FALSE(report.shards[0].hedged);
-  }
-
-  // One 500 virtual-ms spike on shard 0's primary attempt. The hedge —
-  // modeled as launched at the threshold crossing — completes first and
-  // wins; no real time passes.
-  FaultSpec spike;
-  spike.code = StatusCode::kOk;
-  spike.latency_ms = 500.0;
-  spike.max_fires = 1;
-  ScopedFault slow("shard/0/search", spike);
-
-  FanoutReport report;
-  auto result = (*fw)->Retrieve(Query(3), Params(), &report);
-  ASSERT_TRUE(result.ok());
-  const ShardOutcome& outcome = report.shards[0];
-  EXPECT_EQ(outcome.kind, ShardOutcomeKind::kOk);
-  EXPECT_TRUE(outcome.hedged);
-  EXPECT_TRUE(outcome.hedge_won);
-  EXPECT_LT(outcome.latency_ms, 500.0);
-  EXPECT_EQ(result->stats.shards_ok, 2u);
-  EXPECT_EQ(result->neighbors.size(), 10u);
-}
-
 TEST_F(ShardChaosTest, DeadlineSliceDropsSlowShard) {
   ShardOptions options = ChaosOptions(2, 1);
   options.deadline_fraction = 0.5;
@@ -296,7 +259,6 @@ class ShardCoordinatorChaosTest : public ShardChaosTest {
     config.shard.num_shards = 3;
     config.shard.quorum = 2;
     config.shard.fanout_threads = 1;
-    config.shard.hedge_percentile = 0.0;
     config.resilience.enable = true;
     return config;
   }

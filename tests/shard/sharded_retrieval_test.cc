@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "common/clock.h"
 #include "retrieval/factory.h"
@@ -165,6 +166,30 @@ TEST_F(ShardedRetrievalTest, FilterSeesGlobalIds) {
   for (const Neighbor& n : result->neighbors) {
     EXPECT_EQ(n.id % 2, 0u) << "odd id passed the filter";
   }
+}
+
+TEST_F(ShardedRetrievalTest, ThrowingFilterReachesTheCaller) {
+  // An exception escaping one shard's search (here the caller's filter)
+  // reaches the caller, as on the unsharded path, instead of leaving the
+  // fan-out waiting on a shard that never reports.
+  ShardOptions options;
+  options.num_shards = 4;
+  auto fw = MakeSharded(*corpus_, options, BruteForceIndex());
+  ASSERT_TRUE(fw.ok());
+  SearchParams params;
+  params.k = 10;
+  params.filter = [](uint32_t id) -> bool {
+    if (id % 4 == 1) throw std::runtime_error("filter failed");
+    return true;
+  };
+  Rng rng(9);
+  const RetrievalQuery query = TextQueryFor(1, &rng);
+  EXPECT_THROW((void)(*fw)->Retrieve(query, params), std::runtime_error);
+  // The fan-out pool survives: the next query reaches every shard.
+  params.filter = nullptr;
+  auto result = (*fw)->Retrieve(query, params);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->stats.shards_ok, 4u);
 }
 
 TEST_F(ShardedRetrievalTest, ClampsShardCountAndQuorum) {

@@ -47,6 +47,15 @@ When `skip_if_equal_config` names a config key that has the same value in
 both reports (e.g. the runner has no AVX2, so both runs resolved to
 scalar), the comparison is skipped with an explicit note instead of
 failing — the ratio would be meaningless noise at 1.0x.
+
+Either side may be several runs, comma-separated:
+
+    bench_check.py --baselines bench/baselines.json \\
+        --compare REF1.json,REF2.json CAND1.json,CAND2.json
+
+Each metric then counts at its lowest value across that side's runs.
+Ratio metrics are times, and noise on a shared runner only ever adds
+time, so a side's fastest run is the closest to its kernels' speed.
 """
 
 import argparse
@@ -160,18 +169,40 @@ def check_ratios(reference, candidate, ratios, out=sys.stdout):
     return 0
 
 
+def fastest_of(reports):
+    """One report standing for several runs of one bench: each metric at
+    its lowest value across the runs."""
+    merged = dict(reports[0])
+    metrics = {}
+    for r in reports:
+        for name, value in r.get("metrics", {}).items():
+            metrics[name] = min(value, metrics.get(name, value))
+    merged["metrics"] = metrics
+    return merged
+
+
 def run_compare(baselines_path, ref_path, cand_path, out=sys.stdout):
-    """Loads two reports and gates their ratios. Returns an exit code."""
+    """Loads the two sides (each one report, or several comma-separated)
+    and gates their ratios. Returns an exit code."""
+    sides = []
     try:
         with open(baselines_path, encoding="utf-8") as f:
             baselines = json.load(f)
-        with open(ref_path, encoding="utf-8") as f:
-            reference = json.load(f)
-        with open(cand_path, encoding="utf-8") as f:
-            candidate = json.load(f)
+        for paths in (ref_path, cand_path):
+            runs = []
+            for path in paths.split(","):
+                with open(path, encoding="utf-8") as f:
+                    runs.append(json.load(f))
+            sides.append(runs)
     except (OSError, ValueError) as e:
         print(f"cannot read inputs: {e}", file=out)
         return 1
+    for runs in sides:
+        if len({r.get("bench") for r in runs}) != 1:
+            print("FAIL compare: the runs of one side are of different "
+                  "benches", file=out)
+            return 1
+    reference, candidate = (fastest_of(runs) for runs in sides)
     bench = reference.get("bench", "<unnamed>")
     ratios = baselines.get(bench, {}).get("ratios")
     if ratios is None:
@@ -222,7 +253,8 @@ def main(argv=None):
                         help="path to bench/baselines.json")
     parser.add_argument("--compare", action="store_true",
                         help="ratio-gate exactly two reports: "
-                             "REFERENCE CANDIDATE")
+                             "REFERENCE CANDIDATE (each may be several "
+                             "comma-separated runs)")
     parser.add_argument("reports", nargs="+",
                         help="bench --json output files to gate")
     args = parser.parse_args(argv)

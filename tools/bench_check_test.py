@@ -244,6 +244,33 @@ class RunTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("mismatch", text)
 
+    def test_compare_takes_each_sides_fastest_run(self):
+        # One candidate run slowed for its whole length (1.2x) sinks the
+        # ratio alone; with a second, quiet run on that side the fastest
+        # value counts and the gate holds.
+        ref = self.write("scalar.json",
+                         self.kernels_report("scalar", 24.0, 38.0))
+        slow = self.write("slow.json",
+                          self.kernels_report("avx2", 20.0, 36.0))
+        quiet = self.write("quiet.json",
+                           self.kernels_report("avx2", 13.0, 25.0))
+        code, text = self.run_compare(ref, slow)
+        self.assertEqual(code, 1)
+        code, text = self.run_compare(ref, slow + "," + quiet)
+        self.assertEqual(code, 0)
+        self.assertIn("PASS compare", text)
+        self.assertIn("(24 -> 13)", text)
+
+    def test_compare_side_of_mixed_benches_fails(self):
+        ref = self.write("scalar.json",
+                         self.kernels_report("scalar", 24.0, 38.0))
+        cand = self.write("simd.json",
+                          self.kernels_report("avx2", 13.0, 25.0))
+        other = self.write("other.json", report("bench_qps_recall", {}))
+        code, text = self.run_compare(ref, cand + "," + other)
+        self.assertEqual(code, 1)
+        self.assertIn("different benches", text)
+
     def test_compare_without_ratio_baselines_skips(self):
         a = self.write("a.json", report("bench_qps_recall",
                                         {"must/beam64/qps": 5000.0}))

@@ -269,13 +269,14 @@ class ServingLockHierarchyTest(unittest.TestCase):
 
 class ShardLockHierarchyTest(unittest.TestCase):
     """Models the sharded fan-out's lock discipline (see DESIGN.md
-    "Sharded retrieval, hedging & quorum"): the per-query FanoutState
-    mutex is a leaf — a shard task takes it only after all retrieval work
-    (including the shard's CircuitBreaker mutex) is done. The auditor must
-    accept breaker-then-completion nesting in separate scopes and catch a
-    shard task holding the completion mutex while recording into the
-    breaker (the reversal that would deadlock the fan-out wait against a
-    breaker transition callback)."""
+    "Sharded retrieval & quorum"): a fan-out is one ThreadPool::ParallelFor,
+    so the locks on its path are ThreadPool::mu_ (Submit enqueues under
+    it, and a worker pops under it) and each shard's CircuitBreaker::mu_,
+    taken inside the pool task after the worker released the queue lock.
+    The auditor must accept that order and catch a worker that runs the
+    task while still holding the queue lock, against a breaker that posts
+    to the pool under its own mutex: the reversal that would deadlock a
+    shard attempt against the fan-out submitting the next query."""
 
     SHARD_H = """
         #ifndef MQA_SHARD_SHARDED_RETRIEVAL_H_
@@ -285,52 +286,52 @@ class ShardLockHierarchyTest(unittest.TestCase):
          private:
           Mutex mu_;
         };
-        class FanoutState {
+        class ThreadPool {
          private:
-          Mutex mu;
+          Mutex mu_;
         };
         }  // namespace mqa
         #endif  // MQA_SHARD_SHARDED_RETRIEVAL_H_
     """
 
-    def test_leaf_completion_mutex_is_clean(self):
-        errors, _, nedges = lint_src({
+    def test_breaker_inside_pool_task_is_clean(self):
+        errors, _, _ = lint_src({
             "src/shard/sharded_retrieval.h": self.SHARD_H,
             "src/shard/sharded_retrieval.cc": """
                 namespace mqa {
-                void ShardedRetrieval::RunShardAttempt() {
+                void ThreadPool::WorkerLoop() {
                   {
-                    MutexLock record(&CircuitBreaker::mu_);
+                    MutexLock pop(&ThreadPool::mu_);
                   }
-                  MutexLock done(&FanoutState::mu);
+                  MutexLock record(&CircuitBreaker::mu_);
                 }
                 void ShardedRetrieval::Retrieve() {
-                  MutexLock wait(&FanoutState::mu);
+                  MutexLock submit(&ThreadPool::mu_);
                 }
                 }  // namespace mqa
             """,
         }, lock_order_only=True)
         self.assertEqual(errors, [])
 
-    def test_breaker_under_completion_mutex_is_a_cycle(self):
+    def test_task_run_under_queue_lock_is_a_cycle(self):
         errors, _, _ = lint_src({
             "src/shard/sharded_retrieval.h": self.SHARD_H,
             "src/shard/sharded_retrieval.cc": """
                 namespace mqa {
-                void ShardedRetrieval::GoodOrder() {
+                void ThreadPool::BadWorkerLoop() {
+                  MutexLock pop(&ThreadPool::mu_);
                   MutexLock record(&CircuitBreaker::mu_);
-                  MutexLock done(&FanoutState::mu);
                 }
-                void ShardedRetrieval::BadShardTask() {
-                  MutexLock done(&FanoutState::mu);
+                void CircuitBreaker::BadProbe() {
                   MutexLock record(&CircuitBreaker::mu_);
+                  MutexLock submit(&ThreadPool::mu_);
                 }
                 }  // namespace mqa
             """,
         }, lock_order_only=True)
         self.assertEqual(len(errors), 1)
         self.assertIn("[lock-order]", errors[0])
-        self.assertIn("FanoutState::mu", errors[0])
+        self.assertIn("ThreadPool::mu_", errors[0])
         self.assertIn("CircuitBreaker::mu_", errors[0])
 
 
@@ -622,7 +623,7 @@ class MetricLookupRuleTest(unittest.TestCase):
                 namespace mqa {
                 Server::Server()
                     : failed_(Registry().GetCounter("server/failed")) {
-                  fw->hedges_ = metrics.GetCounter("shard/hedges");
+                  fw->fanouts_ = metrics.GetCounter("shard/fanouts");
                 }
                 void Search() {
                   static Counter* const searches =
