@@ -1,7 +1,7 @@
 // Experiment Starling-E6: the disk-resident graph index. Block layout
-// (BFS packing vs id order), block-aware search, and page-cache size
-// determine the number of 4KB page reads per query — the quantity that
-// dominates latency on SSDs.
+// (BFS packing vs id order), page-cache size and the in-memory pivot
+// sample determine the number of 4KB page reads per query — the quantity
+// that dominates latency on SSDs.
 //
 // Paper claim (via Starling [9]): an I/O-efficient disk-resident graph
 // index with a block-level layout reduces page reads per query, enabling
@@ -47,7 +47,7 @@ int Run(const bench::BenchArgs& args) {
   graph_config.max_degree = 24;
   auto mem_index = BuildGraphIndex(
       graph_config, &store,
-      std::make_unique<MultiVectorDistanceComputer>(&store, *wd, true));
+      std::make_unique<MultiVectorDistanceComputer>(&store, *wd));
   if (!mem_index.ok()) return 1;
 
   const size_t kQueries = bench::Scaled(100, args.scale, 20);
@@ -64,7 +64,7 @@ int Run(const bench::BenchArgs& args) {
     queries.push_back(std::move(flat).Value());
   }
 
-  bench::Table table({"layout", "block-aware", "cache pages", "mem pivots",
+  bench::Table table({"layout", "cache pages", "mem pivots",
                       "page reads/query", "cache hits/query",
                       "modeled ms/query (100us reads)", "recall vs memory"});
 
@@ -81,22 +81,18 @@ int Run(const bench::BenchArgs& args) {
 
   struct Setting {
     const char* layout;
-    bool aware;
     size_t cache;
     uint32_t pivots;
   };
   const Setting settings[] = {
-      {"id", false, 64, 0},   {"id", true, 64, 0},
-      {"bfs", false, 64, 0},  {"bfs", true, 64, 0},
-      {"bfs", true, 16, 0},   {"bfs", true, 256, 0},
-      {"bfs", true, 1024, 0}, {"bfs", true, 64, 256},
-      {"bfs", true, 64, 1024},
+      {"id", 64, 0},    {"bfs", 64, 0},    {"bfs", 16, 0},
+      {"bfs", 256, 0},  {"bfs", 1024, 0},  {"bfs", 64, 256},
+      {"bfs", 64, 1024},
   };
 
   for (const Setting& s : settings) {
     DiskIndexConfig config;
     config.layout = s.layout;
-    config.block_aware_search = s.aware;
     config.cache_pages = s.cache;
     config.memory_pivots = s.pivots;
     auto disk = DiskGraphIndex::Create(config, **mem_index, store, *wd);
@@ -113,7 +109,7 @@ int Run(const bench::BenchArgs& args) {
     }
     const DiskIoStats& io = (*disk)->io_stats();
     const double reads = static_cast<double>(io.page_reads) / kQueries;
-    table.AddRow({s.layout, s.aware ? "yes" : "no", std::to_string(s.cache),
+    table.AddRow({s.layout, std::to_string(s.cache),
                   std::to_string(s.pivots), FormatDouble(reads, 1),
                   FormatDouble(static_cast<double>(io.cache_hits) / kQueries,
                                1),
@@ -121,8 +117,7 @@ int Run(const bench::BenchArgs& args) {
                                    static_cast<uint64_t>(reads)),
                                2),
                   FormatDouble(recall / kQueries, 3)});
-    const std::string prefix = std::string(s.layout) +
-                               (s.aware ? "_aware" : "_plain") + "_c" +
+    const std::string prefix = std::string(s.layout) + "_c" +
                                std::to_string(s.cache) + "_p" +
                                std::to_string(s.pivots);
     report.AddMetric(prefix + "/page_reads_per_query", reads);
@@ -137,12 +132,10 @@ int Run(const bench::BenchArgs& args) {
   std::printf(
       "\nExpected shape: the BFS block layout needs ~2-3x fewer page reads\n"
       "than id order (neighborhoods share pages), and bigger caches help\n"
-      "further — the two Starling effects. Block-aware scoring keeps reads\n"
-      "flat while scoring page-mates for free; it can terminate the beam\n"
-      "slightly earlier (marginally lower recall). The in-memory pivot\n"
-      "sample (Starling's RAM navigation layer) seeds the traversal near\n"
-      "the answer and cuts cold-cache reads further. Recall stays close to\n"
-      "the in-memory index throughout.\n");
+      "further — the two Starling effects. The in-memory pivot sample\n"
+      "(Starling's RAM navigation layer) seeds the traversal near the\n"
+      "answer and cuts cold-cache reads further. Recall stays close to the\n"
+      "in-memory index throughout.\n");
   return 0;
 }
 

@@ -86,7 +86,7 @@ int Run(const bench::BenchArgs& args) {
                                             corpus->represented.weights);
     if (!wd.ok()) return 1;
     auto dist = std::make_unique<MultiVectorDistanceComputer>(
-        &store, std::move(wd).Value(), /*enable_pruning=*/true);
+        &store, std::move(wd).Value());
     BuildReport report;
     Timer build_timer;
     auto index = CreateIndex(config, &store, std::move(dist), &report);

@@ -22,6 +22,7 @@
 #include <map>
 
 #include "bench_util.h"
+#include "distance_recorder.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/experiment.h"
@@ -32,6 +33,9 @@
 namespace mqa {
 namespace {
 
+using bench::DistanceCall;
+using bench::RecordingDistance;
+
 /// Timed rounds per cell; every cell reports the median round.
 constexpr int kRounds = 21;
 
@@ -39,44 +43,6 @@ double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
 }
-
-/// One query distance call of a search, as the traversal issued it.
-struct DistanceCall {
-  uint32_t id;
-  float bound;  ///< kNoBound for Distance()
-  float value;
-};
-
-/// Forwards to a real distance computer and records every query distance.
-class RecordingDistance : public DistanceComputer {
- public:
-  RecordingDistance(const DistanceComputer* base,
-                    std::vector<DistanceCall>* calls)
-      : base_(base), calls_(calls) {}
-
-  float Distance(const float* q, uint32_t id,
-                 DistanceContext* ctx) const override {
-    const float d = base_->Distance(q, id, ctx);
-    calls_->push_back({id, kNoBound, d});
-    return d;
-  }
-  float DistanceWithBound(const float* q, uint32_t id, float bound,
-                          DistanceContext* ctx) const override {
-    const float d = base_->DistanceWithBound(q, id, bound, ctx);
-    calls_->push_back({id, bound, d});
-    return d;
-  }
-  void Prefetch(uint32_t id) const override { base_->Prefetch(id); }
-  float DistanceBetween(uint32_t a, uint32_t b) const override {
-    return base_->DistanceBetween(a, b);
-  }
-  size_t dim() const override { return base_->dim(); }
-  uint32_t size() const override { return base_->size(); }
-
- private:
-  const DistanceComputer* base_;
-  std::vector<DistanceCall>* calls_;
-};
 
 /// Returns a recorded sequence of distances, in order, touching no vector.
 class ReplayDistance : public DistanceComputer {
@@ -88,10 +54,6 @@ class ReplayDistance : public DistanceComputer {
     next_ = 0;
   }
   float Distance(const float*, uint32_t, DistanceContext*) const override {
-    return (*calls_)[next_++].value;
-  }
-  float DistanceWithBound(const float*, uint32_t, float,
-                          DistanceContext*) const override {
     return (*calls_)[next_++].value;
   }
   float DistanceBetween(uint32_t, uint32_t) const override { return 0.0f; }
@@ -128,8 +90,7 @@ Result<Decomposition> DecomposeMust(RetrievalFramework* fw,
   MQA_ASSIGN_OR_RETURN(
       WeightedMultiDistance weighted,
       WeightedMultiDistance::Create(store.schema(), must->weights()));
-  MultiVectorDistanceComputer kernel(&store, std::move(weighted),
-                                     /*enable_pruning=*/true);
+  MultiVectorDistanceComputer kernel(&store, std::move(weighted));
 
   std::vector<Vector> flat(queries.size());
   std::vector<std::vector<DistanceCall>> calls(queries.size());
@@ -171,7 +132,7 @@ Result<Decomposition> DecomposeMust(RetrievalFramework* fw,
     DistanceContext ctx;
     for (size_t i = 0; i < queries.size(); ++i) {
       for (const DistanceCall& c : calls[i]) {
-        kernel.DistanceWithBound(flat[i].data(), c.id, c.bound, &ctx);
+        kernel.Distance(flat[i].data(), c.id, &ctx);
       }
     }
     kernel_s.push_back(timer.ElapsedSeconds());

@@ -26,7 +26,7 @@ int main() {
     auto wd = mqa::WeightedMultiDistance::Create(
         store.schema(), corpus.represented.weights);
     return std::make_unique<mqa::MultiVectorDistanceComputer>(
-        &store, std::move(wd).Value(), /*enable_pruning=*/true);
+        &store, std::move(wd).Value());
   };
 
   // 1) Every algorithm through one factory call.

@@ -72,10 +72,11 @@ Result<std::unique_ptr<DiskGraphIndex>> DiskGraphIndex::Create(
   index->num_pages_ =
       (n + index->nodes_per_page_ - 1) / index->nodes_per_page_;
 
-  // Packing order.
-  index->slot_to_node_.reserve(n);
+  // Packing order: slot -> node.
+  std::vector<uint32_t> slot_to_node;
+  slot_to_node.reserve(n);
   if (config.layout == "id") {
-    for (uint32_t u = 0; u < n; ++u) index->slot_to_node_.push_back(u);
+    for (uint32_t u = 0; u < n; ++u) slot_to_node.push_back(u);
   } else {
     // BFS from the entry point: neighborhoods become block-adjacent.
     std::vector<bool> seen(n, false);
@@ -87,7 +88,7 @@ Result<std::unique_ptr<DiskGraphIndex>> DiskGraphIndex::Create(
     while (!frontier.empty()) {
       const uint32_t u = frontier.front();
       frontier.pop();
-      index->slot_to_node_.push_back(u);
+      slot_to_node.push_back(u);
       for (uint32_t v : graph.neighbors(u)) {
         if (!seen[v]) {
           seen[v] = true;
@@ -96,12 +97,12 @@ Result<std::unique_ptr<DiskGraphIndex>> DiskGraphIndex::Create(
       }
     }
     for (uint32_t u = 0; u < n; ++u) {
-      if (!seen[u]) index->slot_to_node_.push_back(u);
+      if (!seen[u]) slot_to_node.push_back(u);
     }
   }
   index->node_to_slot_.resize(n);
   for (uint32_t slot = 0; slot < n; ++slot) {
-    index->node_to_slot_[index->slot_to_node_[slot]] = slot;
+    index->node_to_slot_[slot_to_node[slot]] = slot;
   }
 
   // In-memory navigation sample (deterministic spread over the packing
@@ -113,7 +114,7 @@ Result<std::unique_ptr<DiskGraphIndex>> DiskGraphIndex::Create(
     for (uint32_t i = 0; i < pivots; ++i) {
       const uint32_t slot =
           static_cast<uint32_t>(static_cast<uint64_t>(i) * n / pivots);
-      const uint32_t node = index->slot_to_node_[slot];
+      const uint32_t node = slot_to_node[slot];
       index->pivot_ids_.push_back(node);
       const float* v = store.data(node);
       index->pivot_vectors_.insert(index->pivot_vectors_.end(), v,
@@ -124,7 +125,7 @@ Result<std::unique_ptr<DiskGraphIndex>> DiskGraphIndex::Create(
   // Write records to the simulated device.
   index->disk_.assign(index->num_pages_ * config.page_size, 0);
   for (uint32_t slot = 0; slot < n; ++slot) {
-    const uint32_t u = index->slot_to_node_[slot];
+    const uint32_t u = slot_to_node[slot];
     const size_t page = slot / index->nodes_per_page_;
     const size_t off_in_page =
         (slot % index->nodes_per_page_) * index->record_size_;
@@ -149,11 +150,9 @@ const char* DiskGraphIndex::FetchPage(size_t page, QueryIoState* io) const {
       lru_.splice(lru_.begin(), lru_, it->second);
       io_stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
       GlobalDiskCounters().cache_hits->Increment();
-      io->last_was_cached = true;
       return disk_.data() + page * config_.page_size;
     }
   }
-  io->last_was_cached = false;
   // Budget exhausted: serve cache-only, never pay for another read.
   if (io->cache_only) return nullptr;
   // The simulated device read; the "diskindex/read_page" fault point makes
@@ -220,8 +219,6 @@ Result<std::vector<Neighbor>> DiskGraphIndex::Search(
       params.distance != nullptr ? *params.distance : weighted_;
 
   std::vector<bool> visited(num_nodes_, false);
-  // Distances already computed for visited nodes (block-aware scoring).
-  std::vector<float> known_dist(num_nodes_, 0.0f);
 
   auto cand_greater = [](const Neighbor& a, const Neighbor& b) {
     return NeighborLess(b, a);
@@ -240,7 +237,6 @@ Result<std::vector<Neighbor>> DiskGraphIndex::Search(
     const float d = weighted.Exact(query, rec.vector);
     ++local.dist_comps;
     visited[node] = true;
-    known_dist[node] = d;
     frontier.push({d, node});
     beam.Push(d, node);
     if (params.filter && params.filter(node)) admitted.Push(d, node);
@@ -297,19 +293,6 @@ Result<std::vector<Neighbor>> DiskGraphIndex::Search(
     // skipping its expansion. (Its own distance is already in the beam.)
     if (page_data == nullptr) continue;
     const NodeRecord rec = ReadRecord(current.id, page_data);
-
-    // Block-aware search: a freshly fetched block's co-located nodes are
-    // scored for free.
-    if (config_.block_aware_search && !io.last_was_cached) {
-      const size_t first_slot = page * nodes_per_page_;
-      const size_t last_slot =
-          std::min<size_t>(first_slot + nodes_per_page_, num_nodes_);
-      for (size_t slot = first_slot; slot < last_slot; ++slot) {
-        const uint32_t node = slot_to_node_[slot];
-        if (!visited[node]) score(node, page_data);
-      }
-    }
-
     for (uint32_t i = 0; i < rec.degree; ++i) {
       const uint32_t nbr = rec.neighbors[i];
       if (nbr >= num_nodes_ || visited[nbr]) continue;

@@ -26,9 +26,6 @@ struct DiskIndexConfig {
   /// "bfs" packs BFS-adjacent nodes into the same block so that graph
   /// neighborhoods are co-located (Starling's block-layout idea).
   std::string layout = "bfs";
-  /// When true, every node co-located in a fetched block is evaluated
-  /// "for free" (Starling's block-aware search).
-  bool block_aware_search = true;
   /// Size of the in-memory navigation sample (Starling's in-memory
   /// navigation graph, reduced to its essence): that many node vectors are
   /// kept in RAM and scanned I/O-free at query start, and the best ones
@@ -133,7 +130,6 @@ class DiskGraphIndex : public VectorIndex {
   struct QueryIoState {
     uint64_t errors = 0;       ///< failed page reads this query
     bool cache_only = false;   ///< budget exceeded; no new reads paid for
-    bool last_was_cached = false;
   };
 
   DiskGraphIndex(DiskIndexConfig config, WeightedMultiDistance weighted)
@@ -163,8 +159,7 @@ class DiskGraphIndex : public VectorIndex {
   size_t num_pages_ = 0;
   std::vector<uint32_t> entry_points_;
 
-  std::vector<uint32_t> node_to_slot_;   // node -> packed position
-  std::vector<uint32_t> slot_to_node_;   // packed position -> node
+  std::vector<uint32_t> node_to_slot_;  // node -> packed position
 
   // In-memory navigation sample: pivot ids + their vectors (RAM copies).
   std::vector<uint32_t> pivot_ids_;

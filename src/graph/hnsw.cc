@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
-#include <limits>
 #include <ostream>
-#include <queue>
+
+#include "graph/search.h"
 
 namespace mqa {
 
@@ -47,30 +47,14 @@ void HnswIndex::Insert(uint32_t id) {
 
   const float* q = store_->data(id);
   DistanceContext ctx;
-  uint32_t cur = entry_point_;
-  float cur_dist = dist_->Distance(q, cur, &ctx);
-
-  // Greedy descent through layers above the insertion level.
-  for (int layer = max_level_; layer > level; --layer) {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (uint32_t nbr : links_[cur][layer]) {
-        const float d = dist_->Distance(q, nbr, &ctx);
-        if (d < cur_dist) {
-          cur = nbr;
-          cur_dist = d;
-          improved = true;
-        }
-      }
-    }
-  }
+  Neighbor entry = Descend(q, level, &ctx, nullptr);
+  dist_->AddTally(ctx.tally);
 
   // Connect at each layer from min(level, max_level_) down to 0.
   for (int layer = std::min(level, max_level_); layer >= 0; --layer) {
-    std::vector<Neighbor> candidates =
-        SearchLayer(q, cur, cur_dist, config_.ef_construction, layer,
-                    nullptr, &ctx);
+    std::vector<Neighbor> candidates = BeamSearch(
+        HnswLayerView(links_, layer), dist_.get(), q, {entry.id},
+        config_.ef_construction, config_.ef_construction, nullptr);
     const uint32_t m_max = layer == 0 ? config_.m * 2 : config_.m;
     std::vector<uint32_t> selected =
         SelectNeighbors(id, candidates, config_.m);
@@ -88,69 +72,40 @@ void HnswIndex::Insert(uint32_t id) {
         nbr_links = SelectNeighbors(nbr, std::move(pool), m_max);
       }
     }
-    if (!candidates.empty()) {
-      cur = candidates[0].id;
-      cur_dist = candidates[0].distance;
-    }
+    if (!candidates.empty()) entry = candidates[0];
   }
 
-  dist_->AddTally(ctx.tally);
   if (level > max_level_) {
     max_level_ = level;
     entry_point_ = id;
   }
 }
 
-std::vector<Neighbor> HnswIndex::SearchLayer(const float* query,
-                                             uint32_t entry, float entry_dist,
-                                             size_t ef, int layer,
-                                             SearchStats* stats,
-                                             DistanceContext* ctx,
-                                             const SearchFilter& filter,
-                                             size_t k) const {
-  std::vector<bool> visited(levels_.size(), false);
-  auto cand_greater = [](const Neighbor& a, const Neighbor& b) {
-    return NeighborLess(b, a);
-  };
-  std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(cand_greater)>
-      frontier(cand_greater);
-  TopK beam(ef);
-  TopK admitted(k > 0 ? k : ef);
-
-  visited[entry] = true;
-  frontier.push({entry_dist, entry});
-  beam.Push(entry_dist, entry);
-  if (filter && filter(entry)) admitted.Push(entry_dist, entry);
-
-  // Two-pass adjacency scan (collect + prefetch, then score), same as
-  // BeamSearch in graph/search.cc; scoring order is unchanged.
-  std::vector<uint32_t> to_score;
-
-  while (!frontier.empty()) {
-    const Neighbor current = frontier.top();
-    frontier.pop();
-    if (beam.Full() && current.distance > beam.WorstDistance()) break;
-    if (stats != nullptr) ++stats->hops;
-    if (static_cast<size_t>(layer) >= links_[current.id].size()) continue;
-    to_score.clear();
-    for (uint32_t nbr : links_[current.id][layer]) {
-      if (visited[nbr]) continue;
-      visited[nbr] = true;
-      to_score.push_back(nbr);
-    }
-    for (uint32_t nbr : to_score) dist_->Prefetch(nbr);
-    for (uint32_t nbr : to_score) {
-      const float bound = beam.Full() ? beam.WorstDistance()
-                                      : std::numeric_limits<float>::max();
-      const float d = dist_->DistanceWithBound(query, nbr, bound, ctx);
-      if (stats != nullptr) ++stats->dist_comps;
-      if (d > bound) continue;
-      frontier.push({d, nbr});
-      beam.Push(d, nbr);
-      if (filter && filter(nbr)) admitted.Push(d, nbr);
+Neighbor HnswIndex::Descend(const float* query, int layer,
+                            DistanceContext* ctx, SearchStats* stats) const {
+  Neighbor cur{dist_->Distance(query, entry_point_, ctx), entry_point_};
+  uint64_t dist_comps = 1;
+  uint64_t hops = 0;
+  for (int l = max_level_; l > layer; --l) {
+    bool improved = true;
+    while (improved) {
+      improved = false;
+      for (uint32_t nbr : links_[cur.id][l]) {
+        const float d = dist_->Distance(query, nbr, ctx);
+        ++dist_comps;
+        if (d < cur.distance) {
+          cur = {d, nbr};
+          improved = true;
+        }
+      }
+      ++hops;
     }
   }
-  return filter ? admitted.TakeSorted() : beam.TakeSorted();
+  if (stats != nullptr) {
+    stats->dist_comps += dist_comps;
+    stats->hops += hops;
+  }
+  return cur;
 }
 
 std::vector<uint32_t> HnswIndex::SelectNeighbors(
@@ -195,31 +150,11 @@ Result<std::vector<Neighbor>> HnswIndex::Search(const float* query,
   if (levels_.empty()) return Status::FailedPrecondition("empty index");
 
   DistanceContext ctx{params.distance, {}};
-  uint32_t cur = entry_point_;
-  float cur_dist = dist_->Distance(query, cur, &ctx);
-  if (stats != nullptr) ++stats->dist_comps;
-  for (int layer = max_level_; layer > 0; --layer) {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (uint32_t nbr : links_[cur][layer]) {
-        const float d = dist_->Distance(query, nbr, &ctx);
-        if (stats != nullptr) ++stats->dist_comps;
-        if (d < cur_dist) {
-          cur = nbr;
-          cur_dist = d;
-          improved = true;
-        }
-      }
-      if (stats != nullptr) ++stats->hops;
-    }
-  }
-  std::vector<Neighbor> results = SearchLayer(
-      query, cur, cur_dist, std::max(params.beam_width, params.k), 0, stats,
-      &ctx, params.filter, params.k);
+  const Neighbor entry = Descend(query, 0, &ctx, stats);
   dist_->AddTally(ctx.tally);
-  if (results.size() > params.k) results.resize(params.k);
-  return results;
+  return BeamSearch(HnswLayerView(links_, 0), dist_.get(), query, {entry.id},
+                    params.k, params.beam_width, stats, nullptr,
+                    params.filter, params.distance);
 }
 
 Status HnswIndex::InsertAppended() {

@@ -3,14 +3,45 @@
 
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
 #include "graph/index.h"
+#include "vector/simd/simd.h"
 #include "vector/vector_store.h"
 
 namespace mqa {
+
+/// Per node, per layer, the node's links: HNSW's adjacency.
+using HnswLinks = std::vector<std::vector<std::vector<uint32_t>>>;
+
+/// One layer of an HNSW hierarchy as the graph BeamSearch walks. A node
+/// not on the layer has no neighbors on it.
+class HnswLayerView {
+ public:
+  HnswLayerView(const HnswLinks& links, int layer)
+      : links_(&links), layer_(static_cast<size_t>(layer)) {}
+
+  uint32_t num_nodes() const { return static_cast<uint32_t>(links_->size()); }
+
+  std::span<const uint32_t> neighbors(uint32_t node) const {
+    const auto& layers = (*links_)[node];
+    if (layer_ >= layers.size()) return {};
+    return layers[layer_];
+  }
+
+  /// Hints that `node`'s list will be read soon.
+  void PrefetchNeighbors(uint32_t node) const {
+    const auto& layers = (*links_)[node];
+    if (layer_ < layers.size()) PrefetchRead(layers[layer_].data());
+  }
+
+ private:
+  const HnswLinks* links_;
+  size_t layer_;
+};
 
 /// HNSW construction parameters.
 struct HnswConfig {
@@ -71,15 +102,12 @@ class HnswIndex : public VectorIndex {
 
   void Insert(uint32_t id);
 
-  /// Beam search restricted to one layer; returns up to `ef` closest,
-  /// ascending. With a filter, only admitted ids are returned (the beam
-  /// still navigates over everything). Distances run in `ctx`, the calling
-  /// search's.
-  std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
-                                    float entry_dist, size_t ef, int layer,
-                                    SearchStats* stats, DistanceContext* ctx,
-                                    const SearchFilter& filter = nullptr,
-                                    size_t k = 0) const;
+  /// Greedy descent from the entry point through every layer above
+  /// `layer`: on each, moves to a closer neighbor until none is closer.
+  /// Returns the node it stops at, with its distance. Distances run in
+  /// `ctx`; `stats` (may be null) counts them and one hop per pass.
+  Neighbor Descend(const float* query, int layer, DistanceContext* ctx,
+                   SearchStats* stats) const;
 
   /// HNSW's "select neighbors heuristic": diversity-pruned selection.
   std::vector<uint32_t> SelectNeighbors(uint32_t node,
@@ -91,8 +119,8 @@ class HnswIndex : public VectorIndex {
   std::unique_ptr<DistanceComputer> dist_;
   Rng rng_;
 
-  std::vector<int> levels_;                             // per node
-  std::vector<std::vector<std::vector<uint32_t>>> links_;  // [node][layer]
+  std::vector<int> levels_;  // per node
+  HnswLinks links_;          // [node][layer]
   uint32_t entry_point_ = 0;
   int max_level_ = -1;
 };

@@ -9,6 +9,7 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "graph/hnsw.h"
 
 namespace mqa {
 
@@ -65,7 +66,8 @@ size_t LowerBound(const std::vector<Candidate>& pool, const Candidate& c) {
 
 }  // namespace
 
-std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
+template <typename Graph>
+std::vector<Neighbor> BeamSearch(const Graph& graph,
                                  const DistanceComputer* dist,
                                  const float* query,
                                  const std::vector<uint32_t>& entries,
@@ -134,7 +136,7 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
 
     // Unvisited neighbors are collected first and their rows prefetched
     // together, so by the time each one is scored its vector is already on
-    // the way to L1; scoring order and bound updates are exactly those of
+    // the way to L1; scoring order and beam updates are exactly those of
     // the one-pass loop.
     const std::span<const uint32_t> nbrs = graph.neighbors(current);
     if (to_score.size() < nbrs.size()) to_score.resize(nbrs.size());
@@ -147,12 +149,13 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
     for (size_t i = 0; i < num_to_score; ++i) dist->Prefetch(to_score[i]);
     for (size_t i = 0; i < num_to_score; ++i) {
       const uint32_t nbr = to_score[i];
-      const float bound = pool.size() >= width
+      const float d = dist->Distance(query, nbr, &ctx);
+      ++dist_comps;
+      // Worse than the beam's worst: neither a candidate nor a result.
+      const float worst = pool.size() >= width
                               ? pool[width - 1].distance
                               : std::numeric_limits<float>::max();
-      const float d = dist->DistanceWithBound(query, nbr, bound, &ctx);
-      ++dist_comps;
-      if (d > bound) continue;  // pruned: cannot enter the buffer
+      if (d > worst) continue;
       if (evaluated != nullptr) evaluated->push_back({d, nbr});
       offer(d, nbr);
     }
@@ -171,6 +174,17 @@ std::vector<Neighbor> BeamSearch(const AdjacencyGraph& graph,
   }
   return results;
 }
+
+template std::vector<Neighbor> BeamSearch<AdjacencyGraph>(
+    const AdjacencyGraph&, const DistanceComputer*, const float*,
+    const std::vector<uint32_t>&, size_t, size_t, SearchStats*,
+    std::vector<Neighbor>*, const SearchFilter&,
+    const WeightedMultiDistance*);
+template std::vector<Neighbor> BeamSearch<HnswLayerView>(
+    const HnswLayerView&, const DistanceComputer*, const float*,
+    const std::vector<uint32_t>&, size_t, size_t, SearchStats*,
+    std::vector<Neighbor>*, const SearchFilter&,
+    const WeightedMultiDistance*);
 
 uint32_t ApproximateMedoid(const DistanceComputer* dist, Rng* rng,
                            uint32_t sample_size) {
@@ -280,12 +294,8 @@ Result<std::vector<Neighbor>> BruteForceIndex::Search(
     // The next row's fetch overlaps this row's arithmetic.
     if (i + 1 < n) dist_->Prefetch(i + 1);
     if (params.filter && !params.filter(i)) continue;
-    const float bound = topk.Full() ? topk.WorstDistance()
-                                    : std::numeric_limits<float>::max();
-    const float d = dist_->DistanceWithBound(query, i, bound, &ctx);
+    topk.Push(dist_->Distance(query, i, &ctx), i);
     if (stats != nullptr) ++stats->dist_comps;
-    if (d > bound) continue;
-    topk.Push(d, i);
   }
   dist_->AddTally(ctx.tally);
   return topk.TakeSorted();

@@ -18,12 +18,18 @@ namespace mqa {
 /// closest unexpanded vertex, stop when the beam can no longer improve.
 /// The beam is one sorted buffer of the `beam_width` best candidates, each
 /// flagged once expanded (NSG's retset, DiskANN's NeighborPriorityQueue);
-/// ties are broken by NeighborLess. Distances go through
-/// `dist->DistanceWithBound`, so the incremental multi-vector scan prunes
-/// against the beam's current worst. They run in a DistanceContext local
-/// to the call, which carries `weighted` (the query's own weighted
-/// distance; null = the computer's default), and its tally is added to
-/// `dist` once, at the end (DistanceComputer::AddTally).
+/// ties are broken by NeighborLess. Every candidate is scored exactly, by
+/// one `dist->Distance` call; one that is worse than the beam's current
+/// worst is dropped before the filter, `evaluated` or the buffer see it.
+/// Distances run in a DistanceContext local to the call, which carries
+/// `weighted` (the query's own weighted distance; null = the computer's
+/// default), and its tally is added to `dist` once, at the end
+/// (DistanceComputer::AddTally).
+///
+/// `Graph` offers `num_nodes()`, `neighbors(u)` (a span of ids) and
+/// `PrefetchNeighbors(u)`. The template is instantiated in search.cc for
+/// AdjacencyGraph (the flat indexes, at query and build time) and for
+/// HnswLayerView (one layer of HNSW).
 ///
 /// The visited table, the buffer and the to-score list are scratch reused
 /// by every search on the calling thread (a thread_local), so a search
@@ -38,8 +44,9 @@ namespace mqa {
 /// pools). `stats` may be null. When `filter` is set, filtered-out
 /// vertices are still traversed (they keep the graph navigable) but only
 /// admitted ids are returned.
+template <typename Graph>
 std::vector<Neighbor> BeamSearch(
-    const AdjacencyGraph& graph, const DistanceComputer* dist,
+    const Graph& graph, const DistanceComputer* dist,
     const float* query, const std::vector<uint32_t>& entries, size_t k,
     size_t beam_width, SearchStats* stats,
     std::vector<Neighbor>* evaluated = nullptr,
@@ -93,8 +100,7 @@ class GraphIndex : public VectorIndex {
   std::vector<uint32_t> entry_points_;
 };
 
-/// Exhaustive scan baseline. Exact, O(N) per query; also benefits from
-/// bound-pruned distances once the top-k fills up.
+/// Exhaustive scan baseline. Exact, O(N) per query.
 class BruteForceIndex : public VectorIndex {
  public:
   explicit BruteForceIndex(std::unique_ptr<DistanceComputer> dist)

@@ -14,7 +14,7 @@ Result<std::unique_ptr<RetrievalFramework>> CreateRetrievalFramework(
     MQA_ASSIGN_OR_RETURN(
         std::unique_ptr<MustFramework> fw,
         MustFramework::Create(std::move(corpus), std::move(weights),
-                              index_config, /*enable_pruning=*/true, report));
+                              index_config, report));
     return std::unique_ptr<RetrievalFramework>(std::move(fw));
   }
   if (name == "mr") {

@@ -41,8 +41,7 @@ Result<Vector> FlattenQuery(const VectorSchema& schema,
 
 Result<std::unique_ptr<MustFramework>> MustFramework::Create(
     std::shared_ptr<const VectorStore> corpus, std::vector<float> weights,
-    const IndexConfig& index_config, bool enable_pruning,
-    BuildReport* report) {
+    const IndexConfig& index_config, BuildReport* report) {
   if (corpus == nullptr || corpus->size() == 0) {
     return Status::InvalidArgument("empty corpus");
   }
@@ -55,13 +54,12 @@ Result<std::unique_ptr<MustFramework>> MustFramework::Create(
       WeightedMultiDistance wdist,
       WeightedMultiDistance::Create(corpus->schema(), weights));
   auto dist = std::make_unique<MultiVectorDistanceComputer>(
-      corpus.get(), std::move(wdist), enable_pruning);
+      corpus.get(), std::move(wdist));
   MultiVectorDistanceComputer* dist_raw = dist.get();
 
   std::unique_ptr<MustFramework> fw(new MustFramework());
   fw->corpus_ = std::move(corpus);
   fw->weights_ = std::move(weights);
-  fw->pruning_ = enable_pruning;
   MQA_ASSIGN_OR_RETURN(fw->index_,
                        CreateIndex(index_config, fw->corpus_.get(),
                                    std::move(dist), report));
@@ -73,7 +71,7 @@ Result<std::unique_ptr<MustFramework>> MustFramework::Create(
 
 Result<std::unique_ptr<MustFramework>> MustFramework::CreateFromSavedIndex(
     std::shared_ptr<const VectorStore> corpus, std::vector<float> weights,
-    std::istream* index_blob, bool enable_pruning) {
+    std::istream* index_blob) {
   if (corpus == nullptr || corpus->size() == 0) {
     return Status::InvalidArgument("empty corpus");
   }
@@ -85,14 +83,13 @@ Result<std::unique_ptr<MustFramework>> MustFramework::CreateFromSavedIndex(
       WeightedMultiDistance wdist,
       WeightedMultiDistance::Create(corpus->schema(), weights));
   auto dist = std::make_unique<MultiVectorDistanceComputer>(
-      corpus.get(), std::move(wdist), enable_pruning);
+      corpus.get(), std::move(wdist));
   MultiVectorDistanceComputer* dist_raw = dist.get();
   MQA_ASSIGN_OR_RETURN(std::unique_ptr<GraphIndex> index,
                        GraphIndex::Load(*index_blob, std::move(dist)));
   std::unique_ptr<MustFramework> fw(new MustFramework());
   fw->corpus_ = std::move(corpus);
   fw->weights_ = std::move(weights);
-  fw->pruning_ = enable_pruning;
   fw->index_ = std::move(index);
   fw->dist_ = dist_raw;
   return fw;
@@ -211,7 +208,7 @@ Status MustFramework::CompactTombstones(const std::vector<uint32_t>& remap,
       WeightedMultiDistance wdist,
       WeightedMultiDistance::Create(corpus_->schema(), weights_));
   auto dist = std::make_unique<MultiVectorDistanceComputer>(
-      corpus_.get(), std::move(wdist), pruning_);
+      corpus_.get(), std::move(wdist));
   MultiVectorDistanceComputer* dist_raw = dist.get();
   index_ = std::make_unique<GraphIndex>(flat->name(), std::move(compacted),
                                         std::move(dist), std::move(entries));

@@ -12,25 +12,26 @@ namespace mqa {
 /// The MUST framework (the paper's contribution): multi-vector object
 /// representation with learned modality weights, one unified navigation
 /// graph over all modalities, and *merging-free* search — a single graph
-/// traversal computes the weighted multi-vector distance with incremental
-/// scanning, instead of merging per-modality result lists. The graph is
-/// built once; each query scores through its own WeightedMultiDistance,
-/// built from its weights and handed to the index in SearchParams.
+/// traversal computes the weighted multi-vector distance, instead of
+/// merging per-modality result lists. The graph is built once; each query
+/// scores through its own WeightedMultiDistance, built from its weights and
+/// handed to the index in SearchParams. Every distance is exact: the
+/// paper's incremental scanning (abandoning a distance past the beam's
+/// bound) did not pay here, and survives only as MUST-E4's replay
+/// (bench_incremental_pruning).
 class MustFramework : public RetrievalFramework {
  public:
   /// Builds the unified index over the encoded corpus with the given
-  /// modality weights (typically from the weight learner). `enable_pruning`
-  /// toggles the incremental-scanning distance (ablation knob).
+  /// modality weights (typically from the weight learner).
   static Result<std::unique_ptr<MustFramework>> Create(
       std::shared_ptr<const VectorStore> corpus, std::vector<float> weights,
-      const IndexConfig& index_config, bool enable_pruning = true,
-      BuildReport* report = nullptr);
+      const IndexConfig& index_config, BuildReport* report = nullptr);
 
   /// Restores a framework from a GraphIndex blob written by
   /// GraphIndex::Save (see core/persistence.h) — no rebuild.
   static Result<std::unique_ptr<MustFramework>> CreateFromSavedIndex(
       std::shared_ptr<const VectorStore> corpus, std::vector<float> weights,
-      std::istream* index_blob, bool enable_pruning = true);
+      std::istream* index_blob);
 
   Result<RetrievalResult> Retrieve(const RetrievalQuery& query,
                                    const SearchParams& params) const override;
@@ -70,8 +71,9 @@ class MustFramework : public RetrievalFramework {
   /// bruteforce; the disk-resident index is immutable (rebuild instead).
   Status IngestAppended(const GraphBuildConfig& config);
 
-  /// Pruning counters accumulated by the incremental scan (MUST-E4).
-  /// Empty when the index manages distances itself (starling).
+  /// Distance counters accumulated by the searches. Every call is exact,
+  /// so each counts as full. Empty when the index manages distances itself
+  /// (starling).
   const DistanceStats& distance_stats() const;
   void ResetDistanceStats() {
     if (dist_ != nullptr) dist_->ResetStats();
@@ -82,7 +84,6 @@ class MustFramework : public RetrievalFramework {
 
   std::shared_ptr<const VectorStore> corpus_;
   std::vector<float> weights_;
-  bool pruning_ = true;
   std::unique_ptr<VectorIndex> index_;
   // The index's distance computer, owned by index_ (null for the
   // disk-resident index, which keeps its own copy of the distance).

@@ -299,9 +299,18 @@ void ShardedRetrieval::RunShardAttempt(size_t shard_index,
   // a MockClock are observed exactly.
   const int64_t start = clk->NowMicros();
   const Status injected = FaultInjector::Global().Check(shard.fault_point);
-  Result<RetrievalResult> result =
-      injected.ok() ? shard.framework->Retrieve(query, local_params)
-                    : Result<RetrievalResult>(injected);
+  Result<RetrievalResult> result = [&]() -> Result<RetrievalResult> {
+    if (!injected.ok()) return injected;
+    // A search that throws (a caller's filter, say) still resolves its
+    // admission: a half-open probe left in flight would keep the shard out
+    // of every later fan-out.
+    try {
+      return shard.framework->Retrieve(query, local_params);
+    } catch (...) {
+      shard.breaker->RecordFailure();
+      throw;
+    }
+  }();
   const int64_t elapsed_micros = clk->NowMicros() - start;
   out->outcome.latency_ms = static_cast<double>(elapsed_micros) / 1e3;
 

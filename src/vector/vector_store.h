@@ -90,14 +90,6 @@ class DistanceComputer {
   virtual float Distance(const float* q, uint32_t id,
                          DistanceContext* ctx) const = 0;
 
-  /// Distance with an early-abandon bound. May return any value > bound
-  /// when the true distance exceeds `bound`.
-  virtual float DistanceWithBound(const float* q, uint32_t id, float bound,
-                                  DistanceContext* ctx) const {
-    (void)bound;
-    return Distance(q, id, ctx);
-  }
-
   /// Adds one finished search's tally to the running statistics.
   virtual void AddTally(const DistanceTally& tally) const { (void)tally; }
 
@@ -153,27 +145,25 @@ class FlatDistanceComputer : public DistanceComputer {
   Metric metric_;
 };
 
-/// Weighted multi-vector distance with incremental-scanning pruning — the
-/// MUST path. Accumulates DistanceStats for the pruning ablation from the
-/// searches' tallies. Every query distance is one
-/// WeightedMultiDistance::Pruned call, through the context's per-query
-/// distance when it has one and the default one otherwise: with pruning
-/// off, or for Distance, the bound is +inf and the call is exact, so the
-/// distances (and results) are the same with pruning on and off.
+/// Weighted multi-vector distance — the MUST path. Every query distance is
+/// exact. With a context it is one unbounded WeightedMultiDistance::Pruned
+/// call, through the context's per-query distance when it has one and the
+/// default one otherwise, counted in the context's tally as full; the
+/// searches' tallies accumulate into DistanceStats. Without a context it
+/// is the default distance's Exact, uncounted.
 class MultiVectorDistanceComputer : public DistanceComputer {
  public:
   MultiVectorDistanceComputer(const VectorStore* store,
-                              WeightedMultiDistance dist, bool enable_pruning)
-      : store_(store), dist_(std::move(dist)), pruning_(enable_pruning) {}
+                              WeightedMultiDistance dist)
+      : store_(store), dist_(std::move(dist)) {}
 
   float Distance(const float* q, uint32_t id,
                  DistanceContext* ctx) const override {
-    return Score(q, id, kNoBound, ctx);
-  }
-
-  float DistanceWithBound(const float* q, uint32_t id, float bound,
-                          DistanceContext* ctx) const override {
-    return Score(q, id, pruning_ ? bound : kNoBound, ctx);
+    const float* row = store_->data(id);
+    if (ctx == nullptr) return dist_.Exact(q, row);
+    const WeightedMultiDistance& d =
+        ctx->weighted != nullptr ? *ctx->weighted : dist_;
+    return d.Pruned(q, row, kNoBound, &ctx->tally);
   }
 
   void AddTally(const DistanceTally& tally) const override {
@@ -214,18 +204,8 @@ class MultiVectorDistanceComputer : public DistanceComputer {
   }
 
  private:
-  float Score(const float* q, uint32_t id, float bound,
-              DistanceContext* ctx) const {
-    const float* row = store_->data(id);
-    if (ctx == nullptr) return dist_.Pruned(q, row, bound, nullptr);
-    const WeightedMultiDistance& d =
-        ctx->weighted != nullptr ? *ctx->weighted : dist_;
-    return d.Pruned(q, row, bound, &ctx->tally);
-  }
-
   const VectorStore* store_;
   WeightedMultiDistance dist_;
-  bool pruning_;
   mutable DistanceStats stats_;
 };
 

@@ -129,27 +129,6 @@ TEST_F(DiskIndexTest, BfsLayoutNeedsFewerReadsThanIdLayout) {
   EXPECT_LT(reads_by_layout[1], reads_by_layout[0]);
 }
 
-TEST_F(DiskIndexTest, BlockAwareSearchReducesReads) {
-  uint64_t reads[2] = {0, 0};
-  for (int aware = 0; aware < 2; ++aware) {
-    DiskIndexConfig config;
-    config.block_aware_search = aware == 1;
-    config.cache_pages = 8;
-    auto disk =
-        DiskGraphIndex::Create(config, *mem_index_, *store_, MakeDistance());
-    ASSERT_TRUE(disk.ok());
-    SearchParams params;
-    params.k = 10;
-    params.beam_width = 48;
-    for (const Vector& q : queries_) {
-      (*disk)->ClearCache();
-      ASSERT_TRUE((*disk)->Search(q.data(), params, nullptr).ok());
-    }
-    reads[aware] = (*disk)->io_stats().page_reads;
-  }
-  EXPECT_LE(reads[1], reads[0]);
-}
-
 TEST_F(DiskIndexTest, RecordGeometryIsConsistent) {
   DiskIndexConfig config;
   auto disk =

@@ -61,7 +61,7 @@ TEST(StarlingFactoryTest, BuildsFromMultiVectorDistanceAndReweights) {
   config.graph.max_degree = 10;
   auto index = CreateIndex(
       config, &store,
-      std::make_unique<MultiVectorDistanceComputer>(&store, *wd, true));
+      std::make_unique<MultiVectorDistanceComputer>(&store, *wd));
   ASSERT_TRUE(index.ok());
   auto* disk = dynamic_cast<DiskGraphIndex*>(index->get());
   ASSERT_NE(disk, nullptr);

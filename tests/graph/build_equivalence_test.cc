@@ -42,7 +42,7 @@ std::unique_ptr<DistanceComputer> FourModalityDistance(
   auto weighted = WeightedMultiDistance::Create(store->schema(), kFourWeights);
   EXPECT_TRUE(weighted.ok());
   return std::make_unique<MultiVectorDistanceComputer>(
-      store, *std::move(weighted), /*enable_pruning=*/true);
+      store, *std::move(weighted));
 }
 
 GraphBuildConfig FourModalityConfig() {
@@ -131,8 +131,7 @@ uint64_t WeightedNNDescentHash() {
   const VectorStore store = MakeTwoModalityStore(800, /*seed=*/23);
   auto weighted = WeightedMultiDistance::Create(store.schema(), {0.7f, 0.3f});
   EXPECT_TRUE(weighted.ok());
-  MultiVectorDistanceComputer dist(&store, *std::move(weighted),
-                                   /*enable_pruning=*/true);
+  MultiVectorDistanceComputer dist(&store, *std::move(weighted));
   Rng rng(13);
   auto graph = BuildNNDescentGraph(&dist, 12, 8, &rng);
   EXPECT_TRUE(graph.ok());

@@ -126,8 +126,9 @@ TEST(ConcurrentBuildTest, ConcurrentSearchesOnSharedGraphIndex) {
 
 TEST(ConcurrentBuildTest, SharedMustDistanceStatsStayConsistent) {
   // The MUST serving path: one index, one MultiVectorDistanceComputer,
-  // many concurrent queries folding their tallies into the shared pruning
-  // counters. Every distance a search issues is counted exactly once.
+  // many concurrent queries folding their tallies into the shared distance
+  // counters. Every distance a search issues is counted exactly once, as a
+  // full computation over the whole row.
   VectorSchema schema;
   schema.dims = {4, 4};
   VectorStore store(schema);
@@ -140,7 +141,7 @@ TEST(ConcurrentBuildTest, SharedMustDistanceStatsStayConsistent) {
   auto weighted = WeightedMultiDistance::Create(schema, {0.7f, 0.3f});
   ASSERT_TRUE(weighted.ok());
   auto dist = std::make_unique<MultiVectorDistanceComputer>(
-      &store, *std::move(weighted), /*enable_pruning=*/true);
+      &store, *std::move(weighted));
   MultiVectorDistanceComputer* raw_dist = dist.get();
   auto built =
       BuildGraphIndex(SmallConfig("mqa-hybrid", 11), &store, std::move(dist));
@@ -174,8 +175,8 @@ TEST(ConcurrentBuildTest, SharedMustDistanceStatsStayConsistent) {
   for (const SearchStats& s : per_thread) dist_comps += s.dist_comps;
   EXPECT_GT(dist_comps, 0u);
   EXPECT_EQ(raw_dist->stats().TotalComputations(), dist_comps);
-  EXPECT_GT(raw_dist->stats().pruned_computations.load(), 0u);
-  EXPECT_GT(raw_dist->stats().dims_scanned.load(), 0u);
+  EXPECT_EQ(raw_dist->stats().pruned_computations.load(), 0u);
+  EXPECT_EQ(raw_dist->stats().dims_scanned.load(), dist_comps * 8);
 }
 
 TEST(ConcurrentBuildTest, ConcurrentHnswSearchesMatchBaseline) {

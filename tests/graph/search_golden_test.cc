@@ -5,20 +5,28 @@
 //    learned weights, with skewed per-query weights and through the
 //    tombstone filter;
 //  * GraphHash (plus entry points) of kgraph, nsg, vamana and mqa-hybrid
-//    builds, which run the same traversal at build time.
+//    builds, which run the same traversal at build time;
+//  * HNSW builds (their Save blobs) and searches, over a weighted
+//    multi-modality store and over a tied-distance store.
 //
-// The values were recorded from the two-heap traversal (a priority-queue
-// frontier plus a TopK beam) over vector-of-vectors adjacency, before the
-// sorted candidate buffer and the fixed-slot layout replaced them.
+// The flat-graph values were recorded from the two-heap traversal (a
+// priority-queue frontier plus a TopK beam) over vector-of-vectors
+// adjacency, before the sorted candidate buffer and the fixed-slot layout
+// replaced them. The HNSW values were recorded from HNSW's own two-heap
+// layer search, with distances bounded by the beam's worst, before its
+// layers were searched by BeamSearch with exact distances.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
+#include "graph/hnsw.h"
 #include "graph/pipeline.h"
 #include "graph/search.h"
 #include "graph_test_util.h"
@@ -50,6 +58,14 @@ class Fnv {
       std::memcpy(&bits, &n.distance, sizeof(bits));
       Mix(n.id);
       Mix(bits);
+    }
+  }
+  void Mix(const std::string& bytes) {
+    Mix(static_cast<uint32_t>(bytes.size()));
+    for (size_t off = 0; off + 4 <= bytes.size(); off += 4) {
+      uint32_t word = 0;
+      std::memcpy(&word, bytes.data() + off, sizeof(word));
+      Mix(word);
     }
   }
   uint64_t value() const { return h_; }
@@ -189,6 +205,120 @@ uint64_t TiedSearchHash() {
   return hash.value();
 }
 
+/// One HNSW index folded into `hash`: its Save blob, then for every query
+/// the results and hops at several beams, unfiltered and filtered, with
+/// the index's default weights and, when `skewed` is set, with it as the
+/// query's own distance. Distance counts are left out: a layer search
+/// scores its entry once more than the layer search they were recorded
+/// from.
+void MixHnsw(const HnswConfig& config, const VectorStore& store,
+             std::unique_ptr<DistanceComputer> dist,
+             const std::vector<Vector>& queries,
+             const WeightedMultiDistance* skewed, Fnv* hash) {
+  auto index = HnswIndex::Build(config, &store, std::move(dist));
+  EXPECT_TRUE(index.ok());
+  if (!index.ok()) return;
+  std::ostringstream blob;
+  EXPECT_TRUE((*index)->Save(blob).ok());
+  hash->Mix(blob.str());
+  std::vector<const WeightedMultiDistance*> distances = {nullptr};
+  if (skewed != nullptr) distances.push_back(skewed);
+  const SearchFilter odd = [](uint32_t id) { return id % 2 == 1; };
+  for (const Vector& q : queries) {
+    for (size_t beam : {4, 16, 64}) {
+      for (const WeightedMultiDistance* weighted : distances) {
+        for (bool filtered : {false, true}) {
+          SearchParams params;
+          params.k = 10;
+          params.beam_width = beam;
+          params.distance = weighted;
+          if (filtered) params.filter = odd;
+          SearchStats stats;
+          auto r = (*index)->Search(q.data(), params, &stats);
+          EXPECT_TRUE(r.ok());
+          if (!r.ok()) return;
+          hash->Mix(*r);
+          hash->Mix(static_cast<uint32_t>(stats.hops));
+        }
+      }
+    }
+  }
+}
+
+/// HNSW over the seeded two-modality corpus the MUST golden uses, scored
+/// with its learned weights; queries take each modality from a different
+/// stored object, so skewed per-query weights change the ranking.
+uint64_t HnswWeightedHash() {
+  WorldConfig wc;
+  wc.num_concepts = 12;
+  wc.latent_dim = 16;
+  wc.raw_image_dim = 32;
+  wc.seed = 17;
+  auto corpus = MakeExperimentCorpus(wc, 900, "sim-clip", 16,
+                                     /*learn_weights=*/true, 600);
+  EXPECT_TRUE(corpus.ok());
+  if (!corpus.ok()) return 0;
+  const VectorStore& store = *corpus->represented.store;
+  const VectorSchema& schema = store.schema();
+  auto learned =
+      WeightedMultiDistance::Create(schema, corpus->represented.weights);
+  std::vector<float> skewed_weights(schema.num_modalities(), 0.4f);
+  skewed_weights[0] = 1.6f;
+  auto skewed = WeightedMultiDistance::Create(schema, skewed_weights);
+  EXPECT_TRUE(learned.ok() && skewed.ok());
+  if (!learned.ok() || !skewed.ok()) return 0;
+  Rng rng(37);
+  std::vector<Vector> queries;
+  for (int i = 0; i < 16; ++i) {
+    Vector q;
+    for (size_t m = 0; m < schema.num_modalities(); ++m) {
+      const float* row =
+          store.data(static_cast<uint32_t>(rng.NextUint64(store.size())));
+      q.insert(q.end(), row + schema.OffsetOf(m),
+               row + schema.OffsetOf(m) + schema.dims[m]);
+    }
+    queries.push_back(std::move(q));
+  }
+  HnswConfig config;
+  config.m = 8;
+  config.ef_construction = 40;
+  config.seed = 5;
+  Fnv hash;
+  MixHnsw(config, store,
+          std::make_unique<MultiVectorDistanceComputer>(
+              &store, *learned),
+          queries, &*skewed, &hash);
+  return hash.value();
+}
+
+/// HNSW over a store whose coordinates take three values, so many
+/// distances tie exactly. The sums are exact in every tier.
+uint64_t HnswTiedHash() {
+  constexpr uint32_t kNodes = 500;
+  Rng rng(47);
+  VectorSchema schema;
+  schema.dims = {4};
+  VectorStore store(schema);
+  for (uint32_t i = 0; i < kNodes; ++i) {
+    Vector v(4);
+    for (float& x : v) x = static_cast<float>(rng.NextUint64(3));
+    (void)store.Add(v);
+  }
+  std::vector<Vector> queries;
+  for (uint32_t q = 0; q < 20; ++q) {
+    queries.push_back(store.Row(q * 23 % kNodes));
+  }
+  HnswConfig config;
+  config.m = 6;
+  config.ef_construction = 24;
+  config.seed = 9;
+  Fnv hash;
+  MixHnsw(config, store,
+          std::make_unique<FlatDistanceComputer>(&store, Metric::kL2),
+          queries, nullptr, &hash);
+  return hash.value();
+}
+
 TEST(BeamSearchGoldenTest, TiedDistancesMatchTheTwoHeapTraversal) {
   constexpr uint64_t kGolden = 0x8b57970f187c77bfull;
   const SimdLevel saved = ActiveSimdLevel();
@@ -243,6 +373,36 @@ TEST(BeamSearchGoldenTest, BuiltGraphsMatchTheTwoHeapTraversal) {
           << SimdLevelName(level) << " " << name << " got 0x" << std::hex
           << hash;
     }
+  }
+  ASSERT_TRUE(SetSimdLevel(saved).ok());
+}
+
+TEST(HnswGoldenTest, TiedDistancesMatchTheLayerSearch) {
+  constexpr uint64_t kGolden = 0x976f2b1de45be49eull;
+  const SimdLevel saved = ActiveSimdLevel();
+  for (SimdLevel level : kLevels) {
+    if (!CpuSupports(level)) continue;
+    ASSERT_TRUE(SetSimdLevel(level).ok());
+    const uint64_t got = HnswTiedHash();
+    EXPECT_EQ(got, kGolden) << SimdLevelName(level) << " got 0x" << std::hex
+                            << got;
+  }
+  ASSERT_TRUE(SetSimdLevel(saved).ok());
+}
+
+TEST(HnswGoldenTest, WeightedSearchesMatchTheLayerSearch) {
+  const std::map<SimdLevel, uint64_t> kGolden = {
+      {SimdLevel::kScalar, 0xc351ca07583a33a5ull},
+      {SimdLevel::kAvx2, 0x091cad90a657b119ull},
+      {SimdLevel::kAvx512, 0xef95b76cb1f0eec3ull},
+  };
+  const SimdLevel saved = ActiveSimdLevel();
+  for (SimdLevel level : kLevels) {
+    if (!CpuSupports(level)) continue;
+    ASSERT_TRUE(SetSimdLevel(level).ok());
+    const uint64_t got = HnswWeightedHash();
+    EXPECT_EQ(got, kGolden.at(level))
+        << SimdLevelName(level) << " got 0x" << std::hex << got;
   }
   ASSERT_TRUE(SetSimdLevel(saved).ok());
 }

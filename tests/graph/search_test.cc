@@ -157,7 +157,7 @@ std::unique_ptr<GraphIndex> BuildWeightedIndex(const VectorStore& store,
   auto index = BuildGraphIndex(
       config, &store,
       std::make_unique<MultiVectorDistanceComputer>(
-          &store, *std::move(weighted), /*enable_pruning=*/true));
+          &store, *std::move(weighted)));
   EXPECT_TRUE(index.ok());
   return index.ok() ? std::move(index).Value() : nullptr;
 }

@@ -69,11 +69,10 @@ class ConcurrentRetrieveTest : public ::testing::TestWithParam<std::string> {
     IndexConfig config;
     config.algorithm = algorithm;
     config.graph.max_degree = 16;
-    // The disk index scores a freshly read block's co-residents for free,
-    // so with a page cache its path depends on which queries ran before,
-    // sequential or not. Without one every read is fresh, and each query's
-    // path is a function of the query alone.
-    config.disk.cache_pages = 0;
+    // A page cache smaller than the disk index, so concurrent queries
+    // evict each other's pages: a query's path must not depend on which
+    // of its pages happen to be cached.
+    config.disk.cache_pages = 8;
     return config;
   }
 

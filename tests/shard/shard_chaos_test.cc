@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -171,6 +172,48 @@ TEST_F(ShardChaosTest, BreakerIsolatesFlappingShardAndRecovers) {
   EXPECT_EQ(report.shards[1].kind, ShardOutcomeKind::kOk);
   EXPECT_EQ((*fw)->shard_breaker_state(1), BreakerState::kClosed);
   EXPECT_EQ(result->stats.shards_ok, 3u);
+}
+
+TEST_F(ShardChaosTest, ThrowingHalfOpenProbeStillResolvesTheBreaker) {
+  ShardOptions options = ChaosOptions(3, 1);
+  options.breaker_failure_threshold = 2;
+  options.breaker_open_ms = 100.0;
+  options.breaker_half_open_successes = 1;
+  auto fw = MakeSharded(*corpus_, options, BruteForceIndex());
+  ASSERT_TRUE(fw.ok());
+  {
+    ScopedFault flap("shard/1/search");
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE((*fw)->Retrieve(Query(2), Params()).ok());
+    }
+  }
+  ASSERT_EQ((*fw)->shard_breaker_state(1), BreakerState::kOpen);
+
+  // Cool-down elapsed: the next fan-out admits shard 1 as the half-open
+  // probe, and the caller's filter throws inside that search only.
+  clock_.AdvanceMillis(150.0);
+  const std::vector<uint32_t>& probed = (*fw)->shard_global_ids(1);
+  SearchParams throwing = Params();
+  throwing.filter = [&probed](uint32_t id) -> bool {
+    if (std::find(probed.begin(), probed.end(), id) != probed.end()) {
+      throw std::runtime_error("filter failed");
+    }
+    return true;
+  };
+  EXPECT_THROW((void)(*fw)->Retrieve(Query(2), throwing), std::runtime_error);
+
+  // The thrown probe counts as a failure and re-opens the breaker; after
+  // the next cool-down a clean probe closes it, and every later fan-out
+  // reaches every shard.
+  clock_.AdvanceMillis(150.0);
+  for (int i = 0; i < 3; ++i) {
+    FanoutReport report;
+    auto result = (*fw)->Retrieve(Query(2), Params(), &report);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(report.shards[1].kind, ShardOutcomeKind::kOk) << "fan-out " << i;
+    EXPECT_EQ(result->stats.shards_ok, 3u) << "fan-out " << i;
+  }
+  EXPECT_EQ((*fw)->shard_breaker_state(1), BreakerState::kClosed);
 }
 
 TEST_F(ShardChaosTest, DeadlineSliceDropsSlowShard) {

@@ -343,8 +343,7 @@ TEST_F(KernelParityTest, DistancesBetweenEqualsThePerPairLoop) {
   auto weighted =
       WeightedMultiDistance::Create(schema, {0.5f, 2.0f, 0.0f, 1.25f});
   ASSERT_TRUE(weighted.ok());
-  const MultiVectorDistanceComputer multi(&store, *std::move(weighted),
-                                          /*enable_pruning=*/true);
+  const MultiVectorDistanceComputer multi(&store, *std::move(weighted));
   const FlatDistanceComputer l2(&store, Metric::kL2);
   const FlatDistanceComputer ip(&store, Metric::kInnerProduct);
   const FlatDistanceComputer cosine(&store, Metric::kCosine);

@@ -154,33 +154,32 @@ TEST(FlatDistanceComputerTest, ComputesMetricDistances) {
   EXPECT_EQ(dist.dim(), 2u);
 }
 
-TEST(MultiVectorDistanceComputerTest, TracksStatsAndHonorsPruningFlag) {
+TEST(MultiVectorDistanceComputerTest, TracksStatsOfExactDistances) {
   VectorStore store(TwoModality());
   ASSERT_TRUE(store.Add({0, 0, 0, 0, 0}).ok());
   ASSERT_TRUE(store.Add({10, 10, 10, 10, 10}).ok());
   auto wd = WeightedMultiDistance::Create(TwoModality(), {1.0f, 1.0f});
   ASSERT_TRUE(wd.ok());
 
-  MultiVectorDistanceComputer pruned(&store, *wd, /*enable_pruning=*/true);
+  MultiVectorDistanceComputer dist(&store, *wd);
   const Vector q(5, 0.0f);
   DistanceContext ctx;
-  const float d = pruned.DistanceWithBound(q.data(), 1, 1.0f, &ctx);
-  EXPECT_GT(d, 1.0f);
-  EXPECT_EQ(ctx.tally.pruned_computations, 1u);
+  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 1, &ctx), 500.0f);
+  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, &ctx), 0.0f);
+  // Every call scans the whole row and counts as full.
+  EXPECT_EQ(ctx.tally.full_computations, 2u);
+  EXPECT_EQ(ctx.tally.pruned_computations, 0u);
+  EXPECT_EQ(ctx.tally.dims_scanned, 10u);
   // The shared stats move only when a search hands its tally over.
-  EXPECT_EQ(pruned.stats().TotalComputations(), 0u);
-  pruned.AddTally(ctx.tally);
-  EXPECT_EQ(pruned.stats().pruned_computations, 1u);
-  pruned.ResetStats();
-  EXPECT_EQ(pruned.stats().TotalComputations(), 0u);
-
-  MultiVectorDistanceComputer unpruned(&store, *wd, /*enable_pruning=*/false);
-  DistanceContext full_ctx;
-  const float full = unpruned.DistanceWithBound(q.data(), 1, 1.0f, &full_ctx);
-  EXPECT_FLOAT_EQ(full, 500.0f);
-  unpruned.AddTally(full_ctx.tally);
-  EXPECT_EQ(unpruned.stats().full_computations, 1u);
-  EXPECT_EQ(unpruned.stats().pruned_computations, 0u);
+  EXPECT_EQ(dist.stats().TotalComputations(), 0u);
+  dist.AddTally(ctx.tally);
+  EXPECT_EQ(dist.stats().full_computations, 2u);
+  EXPECT_EQ(dist.stats().dims_scanned, 10u);
+  // Without a context the call is not counted.
+  EXPECT_FLOAT_EQ(dist.Distance(q.data(), 1, nullptr), 500.0f);
+  EXPECT_EQ(dist.stats().TotalComputations(), 2u);
+  dist.ResetStats();
+  EXPECT_EQ(dist.stats().TotalComputations(), 0u);
 }
 
 TEST(VectorStoreLayoutTest, RowsAreSimdAligned) {
@@ -216,7 +215,7 @@ TEST(MultiVectorDistanceComputerTest, SetWeightsChangesDistances) {
   ASSERT_TRUE(store.Add({1, 0, 0, 0, 0}).ok());
   auto wd = WeightedMultiDistance::Create(TwoModality(), {1.0f, 1.0f});
   ASSERT_TRUE(wd.ok());
-  MultiVectorDistanceComputer dist(&store, *wd, true);
+  MultiVectorDistanceComputer dist(&store, *wd);
   const Vector q(5, 0.0f);
   EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, nullptr), 1.0f);
   ASSERT_TRUE(dist.SetWeights({4.0f, 1.0f}).ok());
@@ -231,13 +230,12 @@ TEST(MultiVectorDistanceComputerTest, ContextWeightsScoreOneSearchOnly) {
   auto wd = WeightedMultiDistance::Create(TwoModality(), {1.0f, 1.0f});
   auto skewed = WeightedMultiDistance::Create(TwoModality(), {4.0f, 0.0f});
   ASSERT_TRUE(wd.ok() && skewed.ok());
-  MultiVectorDistanceComputer dist(&store, *wd, true);
+  MultiVectorDistanceComputer dist(&store, *wd);
   const Vector q(5, 0.0f);
   // A context with its own distance scores through it...
   DistanceContext ctx{&*skewed, {}};
   EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, &ctx), 4.0f);
-  EXPECT_FLOAT_EQ(dist.DistanceWithBound(q.data(), 0, 100.0f, &ctx), 4.0f);
-  EXPECT_EQ(ctx.tally.full_computations, 2u);
+  EXPECT_EQ(ctx.tally.full_computations, 1u);
   // ...and leaves the computer's default weights as they were.
   EXPECT_FLOAT_EQ(dist.Distance(q.data(), 0, nullptr), 5.0f);
   DistanceContext plain;
